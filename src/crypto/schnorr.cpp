@@ -75,10 +75,8 @@ bool verify(const PublicKey& pub, const Bytes& message, const Signature& sig) {
   if (sig.r.infinity || pub.point.infinity) return false;
   if (!on_curve(sig.r) || !on_curve(pub.point)) return false;
   const U256 e = challenge(sig.r, pub, message);
-  // s*G == R + e*P
-  const Point lhs = scalar_mul_base(sig.s);
-  const Point rhs = add(sig.r, scalar_mul(e, pub.point));
-  return lhs == rhs;
+  // s*G == R + e*P, checked as s*G - e*P == R.
+  return base_mul_sub_equals(sig.s, e, pub.point, sig.r);
 }
 
 }  // namespace cia::crypto

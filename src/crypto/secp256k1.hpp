@@ -1,8 +1,12 @@
 // secp256k1 elliptic-curve group arithmetic (y^2 = x^3 + 7 over F_p).
 //
 // Provides the group operations needed by Schnorr signatures: scalar
-// multiplication, point addition, encoding. Jacobian coordinates are used
-// internally to avoid per-operation field inversions.
+// multiplication, point addition, encoding. Internally the arithmetic is
+// specialised to p = 2^256 - 0x1000003D1 (one-limb folding reduction,
+// addition-chain inversion) and works in Jacobian coordinates, so a
+// result pays one field inversion when it returns to affine form.
+// Affine outputs are canonical (coordinates < p); inputs with a
+// coordinate >= p are reduced on the way in.
 #pragma once
 
 #include <optional>
@@ -36,11 +40,17 @@ bool on_curve(const Point& pt);
 /// Point addition (complete, handles doubling and infinity).
 Point add(const Point& a, const Point& b);
 
-/// Scalar multiplication k * P (double-and-add).
+/// Scalar multiplication k * P for any 256-bit k (width-5 wNAF).
 Point scalar_mul(const U256& k, const Point& p);
 
-/// k * G.
+/// k * G for any 256-bit k: one addition per nonzero 4-bit digit of k
+/// from a comb table of j * 16^i * G, built on first use.
 Point scalar_mul_base(const U256& k);
+
+/// Is s * G - e * P == R? Decided in Jacobian coordinates, without a
+/// field inversion; the Schnorr verification equation.
+bool base_mul_sub_equals(const U256& s, const U256& e, const Point& p,
+                         const Point& r);
 
 /// Negate a point.
 Point negate(const Point& p);

@@ -246,11 +246,16 @@ Status verify_audit_chain(const std::vector<AuditRecord>& records,
     }
     // Per-agent sub-chain: the first record for an agent may continue a
     // chain begun elsewhere (it migrated in), so any starting point is
-    // legal — but every later record here must extend the previous one.
+    // legal. A later record may jump forward in agent_seq: the agent left
+    // and came back, and the records in between sit on other shards. This
+    // log's hash chain and signatures still pin every record in it. Going
+    // back (an equal or lower agent_seq) is a fork, and the expected
+    // agent_seq must link to the previous record's agent_hash.
     auto it = tails.find(r.agent_id);
     if (it != tails.end() &&
-        (r.agent_seq != it->second.next_seq ||
-         r.agent_prev_hash != it->second.prev_hash)) {
+        (r.agent_seq < it->second.next_seq ||
+         (r.agent_seq == it->second.next_seq &&
+          r.agent_prev_hash != it->second.prev_hash))) {
       return err(Errc::kCorrupted,
                  strformat("record %zu: broken agent sub-chain for %s", i,
                            r.agent_id.c_str()));

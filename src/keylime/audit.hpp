@@ -126,9 +126,14 @@ import_audit_chain(const json::Value& doc);
 /// public key. Detects tampered fields, broken links, reordered records,
 /// and bad signatures. Also checks each agent's sub-chain linkage within
 /// the log: an agent's first record may sit at any agent_seq (its earlier
-/// history can live on another shard), but every later record must extend
-/// the previous one. (Truncation of the tail requires an external
-/// anchor — the caller compares the final hash against a published one.)
+/// history can live on another shard), and a later record may skip
+/// forward in agent_seq (the agent migrated away and back; the records in
+/// between live on other shards, and this log's own chain still pins
+/// every record in it). A later record with an equal or lower agent_seq
+/// is a fork, and one at exactly the next agent_seq must link to the
+/// previous record's agent_hash. (Truncation of the tail requires an
+/// external anchor — the caller compares the final hash against a
+/// published one.)
 Status verify_audit_chain(const std::vector<AuditRecord>& records,
                           const crypto::PublicKey& verifier_key);
 

@@ -123,6 +123,65 @@ TEST(AuditLogTest, ImportRejectsGarbage) {
   EXPECT_FALSE(import_audit_chain(empty).ok());
 }
 
+// An agent's sub-chain handed from log `from` to log `to`, the way a
+// migration moves it between shards.
+void hand_over(AuditLog& from, AuditLog& to, const std::string& agent) {
+  to.set_agent_tail(agent, from.agent_tail(agent));
+  from.drop_agent_tail(agent);
+}
+
+TEST(AuditLogTest, AgentThatLeftAndCameBackVerifiesAndRestores) {
+  AuditLog a(test_key()), b(test_key());
+  a.append(0, "agent-x", AuditVerdict::kPassed, 0, 4, crypto::zero_digest());
+  a.append(0, "agent-y", AuditVerdict::kPassed, 0, 4, crypto::zero_digest());
+  hand_over(a, b, "agent-x");
+  b.append(60, "agent-x", AuditVerdict::kPassed, 0, 4, crypto::zero_digest());
+  hand_over(b, a, "agent-x");
+  a.append(120, "agent-x", AuditVerdict::kPassed, 0, 4, crypto::zero_digest());
+  ASSERT_EQ(a.records()[2].agent_seq, 2u);  // seq 1 sits on b
+
+  EXPECT_TRUE(verify_audit_chain(a.records(), a.public_key()).ok());
+  EXPECT_TRUE(verify_audit_chain(b.records(), b.public_key()).ok());
+  AuditLog restored(test_key());
+  ASSERT_TRUE(restored.restore(a.records()).ok());
+  EXPECT_EQ(restored.agent_tail("agent-x").next_seq, 3u);
+  EXPECT_EQ(restored.agent_tail("agent-x").prev_hash,
+            a.agent_tail("agent-x").prev_hash);
+}
+
+TEST(AuditLogTest, WrongHandedTailIsStillABreak) {
+  const auto poll = [](AuditLog& log, SimTime time) {
+    log.append(time, "agent-x", AuditVerdict::kPassed, 0, 1,
+               crypto::zero_digest());
+  };
+  const auto appended_after = [&](const AuditLog::AgentTail& bad_tail) {
+    AuditLog log(test_key());
+    poll(log, 0);
+    poll(log, 1);
+    log.set_agent_tail("agent-x", bad_tail);
+    poll(log, 2);
+    return log;
+  };
+  const crypto::Digest forged = crypto::sha256(std::string("forged"));
+  AuditLog honest(test_key());
+  poll(honest, 0);
+  poll(honest, 1);
+  const AuditLog::AgentTail right = honest.agent_tail("agent-x");
+
+  for (const AuditLog::AgentTail& bad :
+       {AuditLog::AgentTail{right.next_seq - 1, right.prev_hash},
+        AuditLog::AgentTail{0, crypto::zero_digest()},
+        AuditLog::AgentTail{right.next_seq, forged}}) {
+    const AuditLog log = appended_after(bad);
+    const Status verdict = verify_audit_chain(log.records(), log.public_key());
+    ASSERT_FALSE(verdict.ok()) << "next_seq " << bad.next_seq;
+    EXPECT_NE(verdict.error().to_string().find("broken agent sub-chain"),
+              std::string::npos);
+    AuditLog restored(test_key());
+    EXPECT_FALSE(restored.restore(log.records()).ok());
+  }
+}
+
 // ----------------------------------------------------- verifier wiring
 
 struct AuditRig : ::testing::Test {

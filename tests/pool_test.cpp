@@ -485,6 +485,45 @@ TEST(PoolReshardTest, HandoffFaultsNeverWedgeOrForkAChain) {
       << (violations.empty() ? "" : violations.front().detail);
 }
 
+TEST(PoolReshardTest, ShardRestoresItsOwnCheckpointAfterShrinkAndGrow) {
+  // A shrink-and-grow pair sends agents away and back, so a shard's log
+  // holds sub-chains with gaps that live on other shards. Each shard must
+  // still restore from its own checkpoint and keep attesting.
+  PoolFleetOptions options;
+  options.agents = 24;
+  options.shards = 3;
+  options.seed = 61;
+  PoolFleet fleet(options);
+  ASSERT_TRUE(fleet.init_status().ok());
+  ASSERT_TRUE(fleet.push_fleet_policy().ok());
+  std::uint64_t round = 0;
+  const auto run_rounds = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      fleet.run_workload_round(round++);
+      ASSERT_EQ(fleet.pool().run_round(), fleet.agent_ids().size());
+    }
+  };
+  run_rounds(2);
+  ASSERT_TRUE(fleet.pool().resize(2).ok());
+  run_rounds(2);
+  ASSERT_TRUE(fleet.pool().resize(3).ok());
+  run_rounds(2);
+
+  for (std::size_t s = 0; s < fleet.pool().shard_count(); ++s) {
+    keylime::Verifier& verifier = fleet.pool().verifier(s);
+    const Status chain = keylime::verify_audit_chain(
+        verifier.audit().records(), verifier.audit().public_key());
+    EXPECT_TRUE(chain.ok())
+        << "shard " << s << ": " << chain.error().to_string();
+    const json::Value checkpoint = verifier.checkpoint();
+    const Status restored = verifier.restore(checkpoint);
+    ASSERT_TRUE(restored.ok())
+        << "shard " << s << ": " << restored.error().to_string();
+    EXPECT_EQ(verifier.checkpoint().dump(), checkpoint.dump());
+  }
+  run_rounds(1);
+}
+
 TEST(PoolReshardTest, CrossShardCheckerFlagsAForkedSubChain) {
   const auto key = [] {
     return crypto::derive_keypair(to_bytes("fork-seed"), "test");

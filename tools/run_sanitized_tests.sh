@@ -8,12 +8,13 @@
 # `thread` builds with TSan and runs the concurrent components: the
 # telemetry registry, the sharded verifier pool (stress + determinism
 # suites, which drive one worker thread per shard while another thread
-# pushes policy revisions into the COW mailboxes), and the PolicyIndex
-# tests. `fuzz` builds with ASan+UBSan combined and runs the
-# bounded fuzz smoke: every cia_fuzz target on its committed corpus with
-# fixed seeds, plus the fleet invariant checker — a crash, sanitizer
-# abort, or contract violation fails the step. Exits non-zero on the
-# first failing step.
+# pushes policy revisions into the COW mailboxes), the PolicyIndex
+# tests, and the first use of the EC comb table from four threads (in a
+# process of its own, so the table is cold when they start). `fuzz`
+# builds with ASan+UBSan combined and runs the bounded fuzz smoke: every
+# cia_fuzz target on its committed corpus with fixed seeds, plus the
+# fleet invariant checker — a crash, sanitizer abort, or contract
+# violation fails the step. Exits non-zero on the first failing step.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -45,6 +46,8 @@ for san in "${sanitizers[@]}"; do
       echo "==> [$san] telemetry tests"
       "$build_dir/tests/cia_tests" \
         --gtest_filter='MetricsRegistryTest.*:HistogramTest.*:ExportTest.*:LogBridgeTest.*:TracerTest.*'
+      echo "==> [$san] EC comb table, cold first use from four threads"
+      "$build_dir/tests/cia_tests" --gtest_filter='EcConcurrencyTest.*'
       echo "==> [$san] verifier pool (shard workers + COW policy swaps)"
       "$build_dir/tests/cia_tests" \
         --gtest_filter='PoolStressTest.*:PoolDeterminismTest.*:PoolFleetTest.*:PoolPolicyTest.*:PoolRingTest.*:PoolReshardTest.*:PolicyIndexTest.*'
