@@ -15,7 +15,9 @@
 // a BENCH_policy.json baseline; `bench_pool --check BENCH_policy.json`
 // runs only that part and gates both the hard §III-C ratios (delta push
 // must move <2% of the bytes and take <10% of the index-build time of a
-// full push) and drift against the checked-in baseline.
+// full push), the push fan-out (a push plus its install round on 16
+// agents must cost <2x the same on one agent) and drift against the
+// checked-in baseline.
 //
 // CIA_BENCH_POOL_AGENTS / CIA_BENCH_POOL_ROUNDS override the fleet
 // shape; CIA_BENCH_POLICY_ENTRIES / CIA_BENCH_POLICY_DELTA_LINES the
@@ -25,6 +27,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <sstream>
 #include <string>
 
@@ -317,6 +322,12 @@ ResizeBenchResult bench_resize(std::size_t from, std::size_t to,
 // the serialized PolicyDelta) and index time (PolicyIndex::build vs
 // apply() + build_incremental). Ratios are what matters — they are
 // host-independent, so the --check gate pins them hard.
+//
+// The index patch is only part of what a push costs the pool: the
+// revision must also reach every agent. `fanout` times push_revision
+// plus the install run_round() end to end on a 16-agent fleet against a
+// 1-agent fleet. With one shared revision per push it stays near 1; a
+// per-agent policy copy makes it grow with the fleet.
 
 struct DeltaBenchResult {
   std::size_t base_entries = 0;
@@ -324,7 +335,7 @@ struct DeltaBenchResult {
   std::uint64_t full_bytes = 0;
   std::uint64_t delta_bytes = 0;
   double full_build_ms = 0;
-  double delta_push_ms = 0;  // build_incremental — what push_revision pays
+  double delta_push_ms = 0;  // build_incremental: the index half of a push
   /// One-time delta-ingestion cost upstream of the pool: apply() with
   /// both provenance digests recomputed over the canonical JSON (the
   /// whole 46 MB base serialized + hashed twice). Informational — it is
@@ -333,8 +344,58 @@ struct DeltaBenchResult {
   double apply_verify_ms = 0;
   double bytes_ratio = 0;
   double build_ratio = 0;
+  /// Best push_revision + install run_round() wall time on a 1-agent and
+  /// a kFanoutAgents-agent fleet, and their quotient.
+  double push_install_1_ms = 0;
+  double push_install_n_ms = 0;
+  double fanout = 0;
   bool diverged = false;
 };
+
+constexpr std::size_t kFanoutAgents = 16;
+
+PoolFleetOptions fanout_fleet_options(std::size_t agents) {
+  PoolFleetOptions options;
+  options.agents = agents;
+  options.shards = 4;
+  options.seed = 7;
+  options.retrying_transport = false;  // no faults; measure the pool
+  return options;
+}
+
+/// Bind every agent of `fleet` to `base` (one full build, untimed) and
+/// drain the boot logs, so timed rounds carry only the install.
+void seed_fanout_fleet(PoolFleet& fleet, const keylime::RuntimePolicy& base,
+                       const std::string& base_digest) {
+  (void)fleet.pool().push_revision(fleet.agent_ids(), base, base_digest,
+                                   nullptr);
+  fleet.run_workload_round(0);
+  fleet.pool().run_round();
+}
+
+/// Wall time of one delta push of `target` to every agent of `fleet` plus
+/// the round that installs it; `reverse` then restores the base, untimed.
+/// The allocator is trimmed first so every sample starts from the same
+/// heap state: a 300k-entry policy copy costs 2-3x more when it is served
+/// from the fragments of the revision the last round freed.
+double push_install_ms(PoolFleet& fleet, const keylime::RuntimePolicy& base,
+                       const keylime::RuntimePolicy& target,
+                       const keylime::policy_store::PolicyDelta& forward,
+                       const keylime::policy_store::PolicyDelta& reverse) {
+  keylime::VerifierPool& pool = fleet.pool();
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+  const auto start = std::chrono::steady_clock::now();
+  (void)pool.push_revision(fleet.agent_ids(), target, forward.target_digest,
+                           &forward);
+  pool.run_round();
+  const double ms = wall_ms(start);
+  (void)pool.push_revision(fleet.agent_ids(), base, reverse.target_digest,
+                           &reverse);
+  pool.run_round();
+  return ms;
+}
 
 DeltaBenchResult bench_policy_delta(std::size_t entries, std::size_t reps) {
   using namespace cia::keylime;
@@ -453,7 +514,43 @@ DeltaBenchResult bench_policy_delta(std::size_t entries, std::size_t reps) {
   }
   if (result.diverged) {
     std::printf("  !! DIVERGENCE: incremental and full index differ\n");
+    return result;
   }
+
+  // Push fan-out: the same update, with the fleet's own image merged in
+  // so appraisal stays alert-free, delivered to 1 and to 16 agents.
+  PoolFleet one(fanout_fleet_options(1));
+  PoolFleet many(fanout_fleet_options(kFanoutAgents));
+  if (!one.init_status().ok() || !many.init_status().ok()) {
+    std::printf("  !! fan-out fleet construction failed\n");
+    result.diverged = true;
+    return result;
+  }
+  RuntimePolicy fleet_base = base;
+  fleet_base.merge(one.fleet_policy());
+  RuntimePolicy fleet_target = applied.value();
+  fleet_target.merge(one.fleet_policy());
+  const policy_store::PolicyDelta forward =
+      policy_store::diff(fleet_base, fleet_target);
+  const policy_store::PolicyDelta reverse =
+      policy_store::diff(fleet_target, fleet_base);
+  seed_fanout_fleet(one, fleet_base, forward.base_digest);
+  seed_fanout_fleet(many, fleet_base, forward.base_digest);
+  result.push_install_1_ms = result.push_install_n_ms = 1e300;
+  for (std::size_t rep = 0; rep < reps; ++rep) {  // interleaved, best of
+    result.push_install_1_ms = std::min(
+        result.push_install_1_ms,
+        push_install_ms(one, fleet_base, fleet_target, forward, reverse));
+    result.push_install_n_ms = std::min(
+        result.push_install_n_ms,
+        push_install_ms(many, fleet_base, fleet_target, forward, reverse));
+  }
+  if (!one.pool().alerts().empty() || !many.pool().alerts().empty()) {
+    std::printf("  !! fan-out fleet raised alerts under its own policy\n");
+    result.diverged = true;
+    return result;
+  }
+  result.fanout = result.push_install_n_ms / result.push_install_1_ms;
   return result;
 }
 
@@ -471,9 +568,15 @@ json::Value delta_bench_to_json(const DeltaBenchResult& r) {
   delta.set("incremental_build_ms", r.delta_push_ms);
   delta.set("apply_verify_ms", r.apply_verify_ms);
   doc.set("delta_push", std::move(delta));
+  json::Value fanout;
+  fanout.set("agents", static_cast<std::int64_t>(kFanoutAgents));
+  fanout.set("push_install_1_ms", r.push_install_1_ms);
+  fanout.set("push_install_n_ms", r.push_install_n_ms);
+  doc.set("push_fanout", std::move(fanout));
   json::Value ratios;
   ratios.set("bytes", r.bytes_ratio);
   ratios.set("build_ms", r.build_ratio);
+  ratios.set("fanout", r.fanout);
   doc.set("ratios", std::move(ratios));
   return doc;
 }
@@ -493,6 +596,10 @@ void print_delta_bench(const DeltaBenchResult& r) {
   std::printf("  (one-time delta ingestion, apply + both provenance digests:"
               " %.1fms)\n\n",
               r.apply_verify_ms);
+  std::printf("  push + install round   1 agent %8.1fms   %zu agents %8.1fms"
+              "   fanout %.2fx\n\n",
+              r.push_install_1_ms, kFanoutAgents, r.push_install_n_ms,
+              r.fanout);
 }
 
 // The §III-C acceptance gates are hard-coded (host-independent ratios);
@@ -512,6 +619,7 @@ int run_policy_check(const std::string& baseline_path, double tolerance,
   };
   gate("bytes ratio", r.bytes_ratio, 0.02);
   gate("index-build ratio", r.build_ratio, 0.10);
+  gate("push fan-out", r.fanout, 2.0);
 
   std::ifstream in(baseline_path);
   if (!in) {

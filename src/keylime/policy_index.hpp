@@ -23,6 +23,7 @@
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "keylime/runtime_policy.hpp"
@@ -148,6 +149,39 @@ class PolicyIndex {
   std::size_t layer_depth_ = 0;
   std::uint64_t revision_ = 0;
   std::uint64_t uid_ = 0;
+};
+
+/// One installed policy revision: the RuntimePolicy, its lookup index and
+/// (through the index) the revision tag. Built once per push and shared
+/// read-only by every agent bound to it — the pool's mailbox, every shard
+/// verifier's agent records and an in-flight appraisal all hold the same
+/// shared_ptr<const PolicyRevision>, so installing a revision costs one
+/// policy copy plus one index build or patch whatever the fleet size, and
+/// a revision is freed with its last agent. Policy and index live and die
+/// together, so a stale index can never outlive its policy.
+struct PolicyRevision {
+  RuntimePolicy policy;
+  /// Null only for an unindexed revision (a solo Verifier::set_policy or
+  /// a slice rebuilt from JSON): appraisal then scans the policy linearly.
+  std::shared_ptr<const PolicyIndex> index;
+
+  /// What Alert::policy_revision carries: the index's tag, 0 unindexed.
+  std::uint64_t revision() const { return index ? index->revision() : 0; }
+
+  /// A shared revision owning `policy`; a null `index` makes it
+  /// unindexed.
+  static std::shared_ptr<const PolicyRevision> make(
+      RuntimePolicy policy, std::shared_ptr<const PolicyIndex> index) {
+    return std::make_shared<const PolicyRevision>(
+        PolicyRevision{std::move(policy), std::move(index)});
+  }
+
+  /// The one shared empty revision an agent holds before any push.
+  static const std::shared_ptr<const PolicyRevision>& empty() {
+    static const std::shared_ptr<const PolicyRevision> kEmpty =
+        make(RuntimePolicy{}, nullptr);
+    return kEmpty;
+  }
 };
 
 }  // namespace cia::keylime

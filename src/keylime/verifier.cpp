@@ -127,41 +127,46 @@ Status Verifier::set_policy(const std::string& agent_id, RuntimePolicy policy) {
   if (it == agents_.end()) {
     return err(Errc::kNotFound, "unknown agent " + agent_id);
   }
-  it->second.policy = std::move(policy);
-  it->second.index.reset();  // a stale index must never outlive its policy
+  it->second.revision = PolicyRevision::make(std::move(policy), nullptr);
   return Status::ok_status();
 }
 
-Status Verifier::set_indexed_policy(const std::string& agent_id,
-                                    RuntimePolicy policy,
-                                    std::shared_ptr<const PolicyIndex> index) {
+Status Verifier::set_revision(const std::string& agent_id,
+                              std::shared_ptr<const PolicyRevision> revision) {
+  if (revision == nullptr) {
+    return err(Errc::kInvalidArgument, "null policy revision for " + agent_id);
+  }
   auto it = agents_.find(agent_id);
   if (it == agents_.end()) {
     return err(Errc::kNotFound, "unknown agent " + agent_id);
   }
-  it->second.policy = std::move(policy);
-  it->second.index = std::move(index);
+  it->second.revision = std::move(revision);
   return Status::ok_status();
 }
 
 Status Verifier::set_policy_bulk(const std::vector<std::string>& agent_ids,
                                  const RuntimePolicy& policy) {
-  // One shared index for the whole batch. The default PolicySink loop
-  // would call set_policy per agent, which drops the index and leaves
-  // every solo-verifier agent on the linear RuntimePolicy scan — N
-  // agents would then pay N linear appraisals per round where one
-  // build covers them all.
-  const auto index = PolicyIndex::build(policy, ++bulk_revision_);
+  // One shared revision for the whole batch. The default PolicySink loop
+  // would call set_policy per agent: N policy copies, and every
+  // solo-verifier agent left on the linear RuntimePolicy scan where one
+  // index build covers them all.
+  const auto revision = PolicyRevision::make(
+      policy, PolicyIndex::build(policy, ++bulk_revision_));
   for (const std::string& id : agent_ids) {
-    if (Status s = set_indexed_policy(id, policy, index); !s.ok()) return s;
+    if (Status s = set_revision(id, revision); !s.ok()) return s;
   }
   return Status::ok_status();
 }
 
+std::shared_ptr<const PolicyRevision> Verifier::revision(
+    const std::string& agent_id) const {
+  auto it = agents_.find(agent_id);
+  return it == agents_.end() ? nullptr : it->second.revision;
+}
+
 std::uint64_t Verifier::policy_revision_of(const std::string& agent_id) const {
   auto it = agents_.find(agent_id);
-  if (it == agents_.end() || it->second.index == nullptr) return 0;
-  return it->second.index->revision();
+  return it == agents_.end() ? 0 : it->second.revision->revision();
 }
 
 Status Verifier::set_mb_refstate(const std::string& agent_id,
@@ -260,7 +265,7 @@ Result<BootLogReport> Verifier::attest_boot_log(const std::string& agent_id) {
 
 const RuntimePolicy* Verifier::policy(const std::string& agent_id) const {
   auto it = agents_.find(agent_id);
-  return it == agents_.end() ? nullptr : &it->second.policy;
+  return it == agents_.end() ? nullptr : &it->second.revision->policy;
 }
 
 void Verifier::raise(AgentRecord& rec, const std::string& agent_id,
@@ -275,7 +280,7 @@ void Verifier::raise(AgentRecord& rec, const std::string& agent_id,
   alert.observed_hash_hex = std::move(observed_hash_hex);
   alert.detail = std::move(detail);
   alert.log_index = log_index;
-  alert.policy_revision = rec.index ? rec.index->revision() : 0;
+  alert.policy_revision = rec.revision->revision();
   // The round's copy is unavoidable (both streams are observable); the
   // durable one is a move of the fully-built alert.
   round.alerts.push_back(alert);
@@ -553,12 +558,11 @@ Result<AttestationRound> Verifier::attest_once_impl(const std::string& agent_id)
   // then this round's entries appraised in place straight off the
   // decoded views — the accepted fragment only ever touches the heap if
   // evaluation halts and the remainder must outlive the response buffer.
-  // Appraisal goes through the shared PolicyIndex snapshot when one is
-  // installed (the shared_ptr keeps this round's revision alive across a
-  // concurrent copy-on-write policy swap), else the linear RuntimePolicy
-  // scan.
+  // Appraisal goes through the bound revision's PolicyIndex when it has
+  // one (the snapshot keeps this round's revision alive across a
+  // concurrent copy-on-write swap), else the linear RuntimePolicy scan.
   auto span = trace_span("policy_decision");
-  const std::shared_ptr<const PolicyIndex> index_snapshot = rec.index;
+  const std::shared_ptr<const PolicyRevision> snapshot = rec.revision;
   const std::uint64_t base_offset = rec.log_offset;
   rec.log_offset += qr.entries.size();
 
@@ -570,8 +574,8 @@ Result<AttestationRound> Verifier::attest_once_impl(const std::string& agent_id)
       rec.pending.pop_front();
       continue;
     }
-    const PolicyMatch match = appraise(rec, index_snapshot.get(), entry.path,
-                                       entry.file_hash, entry.template_hash);
+    const PolicyMatch match =
+        appraise(*snapshot, entry.path, entry.file_hash, entry.template_hash);
     if (match == PolicyMatch::kAllowed || match == PolicyMatch::kExcluded) {
       rec.pending.pop_front();
       continue;
@@ -595,8 +599,8 @@ Result<AttestationRound> Verifier::attest_once_impl(const std::string& agent_id)
       const LogEntryView& entry = qr.entries[next];
       ++round.evaluated;
       if (entry.path == "boot_aggregate") continue;
-      const PolicyMatch match = appraise(rec, index_snapshot.get(), entry.path,
-                                         entry.file_hash, entry.template_hash);
+      const PolicyMatch match =
+          appraise(*snapshot, entry.path, entry.file_hash, entry.template_hash);
       if (match == PolicyMatch::kAllowed || match == PolicyMatch::kExcluded) {
         continue;
       }
@@ -625,14 +629,15 @@ Result<AttestationRound> Verifier::attest_once_impl(const std::string& agent_id)
   return round;
 }
 
-PolicyMatch Verifier::appraise(AgentRecord& rec, const PolicyIndex* index,
+PolicyMatch Verifier::appraise(const PolicyRevision& revision,
                                std::string_view path,
                                const crypto::Digest& file_hash,
                                const crypto::Digest& template_hash) {
+  const PolicyIndex* index = revision.index.get();
   if (!index) {
     // Legacy linear path. No cache here: a cached verdict must be keyed
     // to an index uid so policy swaps invalidate it.
-    return rec.policy.check(std::string(path), file_hash);
+    return revision.policy.check(std::string(path), file_hash);
   }
   if (cache_) {
     if (const auto cached = cache_->lookup(template_hash, index->uid())) {
@@ -721,7 +726,7 @@ json::Value Verifier::agent_to_json(const std::string& agent_id,
   a.set("id", agent_id);
   a.set("address", rec.address);
   a.set("ak", to_hex(rec.ak.encode()));
-  a.set("policy", rec.policy.to_json());
+  a.set("policy", rec.revision->policy.to_json());
   a.set("state", rec.state == AgentState::kFailed ? "failed" : "attesting");
   a.set("log_offset", static_cast<std::int64_t>(rec.log_offset));
   a.set("accumulated_pcr", crypto::digest_hex(rec.accumulated_pcr));
@@ -883,7 +888,7 @@ Result<Verifier::ParsedAgentSlice> Verifier::agent_from_json(
   rec.ak = *ak_key;
   auto policy = RuntimePolicy::from_json(*policy_field);
   if (!policy.ok()) return policy.error();
-  rec.policy = std::move(policy).take();
+  rec.revision = PolicyRevision::make(std::move(policy).take(), nullptr);
   if (state->as_string() == "failed") {
     rec.state = AgentState::kFailed;
   } else if (state->as_string() == "attesting") {

@@ -149,32 +149,37 @@ class Verifier : public PolicySink {
   Status add_agent(const std::string& agent_id, const std::string& address);
 
   /// Install/replace the runtime policy for an agent (the dynamic policy
-  /// generator pushes through here before each scheduled update). Drops
-  /// any installed PolicyIndex — a plain push has no index revision, so
-  /// appraisal falls back to RuntimePolicy::check until one is installed.
+  /// generator pushes through here before each scheduled update). The
+  /// policy moves into a fresh unindexed revision — a plain push has no
+  /// index, so appraisal scans RuntimePolicy::check until one is bound.
   Status set_policy(const std::string& agent_id, RuntimePolicy policy) override;
 
-  /// Install a policy together with a prebuilt shared lookup index (the
-  /// VerifierPool path: one index per policy revision, shared read-only
-  /// across every shard and agent it covers). The swap is copy-on-write:
-  /// an appraisal already running against the old index keeps its
-  /// snapshot alive through the shared_ptr.
-  Status set_indexed_policy(const std::string& agent_id, RuntimePolicy policy,
-                            std::shared_ptr<const PolicyIndex> index);
+  /// Bind an agent to a shared revision (the VerifierPool path: one
+  /// revision per push, shared read-only across every shard and agent it
+  /// covers). The swap is copy-on-write: an appraisal already running
+  /// against the old revision keeps it alive through its shared_ptr.
+  /// `revision` must be non-null.
+  Status set_revision(const std::string& agent_id,
+                      std::shared_ptr<const PolicyRevision> revision);
 
-  /// Bulk push with index dedupe: builds ONE PolicyIndex for the batch
-  /// and installs it on every listed agent via set_indexed_policy. The
-  /// solo-verifier counterpart of the pool's shared-index push — the
-  /// orchestrator's bulk pushes land here when the sink is a plain
-  /// Verifier, so its agents get indexed appraisal too instead of the
-  /// linear fallback set_policy leaves behind.
+  /// Bulk push with dedupe: builds ONE indexed revision for the batch and
+  /// binds every listed agent to it. The solo-verifier counterpart of the
+  /// pool's shared push — the orchestrator's bulk pushes land here when
+  /// the sink is a plain Verifier, so its agents get indexed appraisal
+  /// too instead of the linear fallback set_policy leaves behind.
   Status set_policy_bulk(const std::vector<std::string>& agent_ids,
                          const RuntimePolicy& policy) override;
 
-  /// Revision tag of the agent's installed PolicyIndex (0 when none) —
-  /// what Alert::policy_revision will carry for its next appraisal. The
-  /// rollout checks use this to prove no non-canary agent ever held a
-  /// rolled-back revision.
+  /// The revision an agent is bound to (nullptr for an unknown agent;
+  /// never null otherwise — an agent with no policy holds
+  /// PolicyRevision::empty()). Between rounds only.
+  std::shared_ptr<const PolicyRevision> revision(
+      const std::string& agent_id) const;
+
+  /// Revision tag of the agent's bound revision (0 when unindexed or
+  /// unknown) — what Alert::policy_revision will carry for its next
+  /// appraisal. The rollout checks use this to prove no non-canary agent
+  /// ever held a rolled-back revision.
   std::uint64_t policy_revision_of(const std::string& agent_id) const;
 
   /// Cumulative PolicyIndex lookup tallies across all agents: a hit
@@ -208,6 +213,8 @@ class Verifier : public PolicySink {
   /// boot-chain PCRs, and diff it against the pinned baseline.
   Result<BootLogReport> attest_boot_log(const std::string& agent_id);
 
+  /// The policy of the agent's bound revision (nullptr for an unknown
+  /// agent). Agents bound to one revision return the same pointer.
   const RuntimePolicy* policy(const std::string& agent_id) const;
 
   /// One attestation round: challenge, verify, evaluate.
@@ -320,8 +327,7 @@ class Verifier : public PolicySink {
   struct AgentRecord {
     std::string address;
     crypto::PublicKey ak;
-    RuntimePolicy policy;
-    std::shared_ptr<const PolicyIndex> index;  // null: linear appraisal
+    std::shared_ptr<const PolicyRevision> revision = PolicyRevision::empty();
     std::optional<MbRefstate> mb_refstate;
     std::vector<oskernel::BootEvent> boot_baseline;
     AgentState state = AgentState::kAttesting;
@@ -360,12 +366,12 @@ class Verifier : public PolicySink {
   Result<AttestationRound> attest_once_impl(const std::string& agent_id);
 
   /// One policy verdict on the appraisal hot path: verdict cache (when
-  /// attached and an index is installed), then PolicyIndex probe, then
-  /// the linear RuntimePolicy scan when no index is installed.
+  /// attached and the revision is indexed), then PolicyIndex probe, then
+  /// the linear RuntimePolicy scan for an unindexed revision.
   /// `template_hash` must be the hash the verifier computed/verified from
   /// the entry's own data — it is the cache key.
-  PolicyMatch appraise(AgentRecord& rec, const PolicyIndex* index,
-                       std::string_view path, const crypto::Digest& file_hash,
+  PolicyMatch appraise(const PolicyRevision& revision, std::string_view path,
+                       const crypto::Digest& file_hash,
                        const crypto::Digest& template_hash);
 
   /// Open a child span on the attached tracer (no-op scope when tracing

@@ -186,39 +186,39 @@ Status VerifierPool::enroll(const std::string& agent_id,
   return Status::ok_status();
 }
 
+std::uint64_t VerifierPool::next_headless_revision() {
+  std::lock_guard<std::mutex> lock(revision_mu_);
+  head_digest_.clear();  // content of the head revision unknown now
+  head_.reset();
+  return ++revision_;
+}
+
+void VerifierPool::enqueue(
+    const std::vector<std::string>& agent_ids,
+    const std::shared_ptr<const PolicyRevision>& revision) {
+  for (const std::string& id : agent_ids) {
+    Shard& shard = *shard_ptr(owner_of(id));
+    std::lock_guard<std::mutex> lock(shard.mailbox_mu);
+    shard.mailbox.push_back({id, revision});
+  }
+}
+
 Status VerifierPool::set_policy(const std::string& agent_id,
                                 RuntimePolicy policy) {
-  std::uint64_t revision;
-  {
-    std::lock_guard<std::mutex> lock(revision_mu_);
-    revision = ++revision_;
-    last_pushed_digest_.clear();  // content of the head revision unknown now
-    last_pushed_index_.reset();
-  }
+  const std::uint64_t revision = next_headless_revision();
   auto index = PolicyIndex::build(policy, revision);
-  Shard& shard = *shard_ptr(owner_of(agent_id));
-  std::lock_guard<std::mutex> lock(shard.mailbox_mu);
-  shard.mailbox.push_back({agent_id, std::move(policy), std::move(index)});
+  enqueue({agent_id},
+          PolicyRevision::make(std::move(policy), std::move(index)));
   return Status::ok_status();
 }
 
 Status VerifierPool::set_policy_bulk(const std::vector<std::string>& agent_ids,
                                      const RuntimePolicy& policy) {
-  std::uint64_t revision;
-  {
-    std::lock_guard<std::mutex> lock(revision_mu_);
-    revision = ++revision_;
-    last_pushed_digest_.clear();  // content of the head revision unknown now
-    last_pushed_index_.reset();
-  }
-  // One index for the whole revision; every covered agent on every shard
+  const std::uint64_t revision = next_headless_revision();
+  // One revision for the whole push; every covered agent on every shard
   // shares it read-only.
-  const auto index = PolicyIndex::build(policy, revision);
-  for (const std::string& id : agent_ids) {
-    Shard& shard = *shard_ptr(owner_of(id));
-    std::lock_guard<std::mutex> lock(shard.mailbox_mu);
-    shard.mailbox.push_back({id, policy, index});
-  }
+  enqueue(agent_ids,
+          PolicyRevision::make(policy, PolicyIndex::build(policy, revision)));
   return Status::ok_status();
 }
 
@@ -230,36 +230,38 @@ Status VerifierPool::push_revision(const std::vector<std::string>& agent_ids,
     return err(Errc::kInvalidArgument, "push_revision needs a content digest");
   }
   std::uint64_t revision = 0;
-  std::shared_ptr<const PolicyIndex> index;
+  std::shared_ptr<const PolicyRevision> pushed;
   std::shared_ptr<const PolicyIndex> base;
   const char* mode = "full";
   {
     std::lock_guard<std::mutex> lock(revision_mu_);
-    if (digest == last_pushed_digest_ && last_pushed_index_ != nullptr) {
-      // Same content as the head revision: reuse its index outright (the
+    if (digest == head_digest_ && head_ != nullptr) {
+      // Same content as the head: mail the head revision itself (the
       // promote path — the canary slice already paid for this build).
-      index = last_pushed_index_;
+      pushed = head_;
       mode = "reused";
     } else {
       revision = ++revision_;
-      if (delta != nullptr && delta->base_digest == last_pushed_digest_ &&
-          last_pushed_index_ != nullptr && !delta->touches_excludes()) {
-        base = last_pushed_index_;
+      if (delta != nullptr && delta->base_digest == head_digest_ &&
+          head_ != nullptr && !delta->touches_excludes()) {
+        base = head_->index;
       }
     }
   }
-  if (index == nullptr) {
+  if (pushed == nullptr) {
+    std::shared_ptr<const PolicyIndex> index;
     if (base != nullptr) {
       index = PolicyIndex::build_incremental(base, policy, *delta, revision);
       mode = "incremental";
     } else {
       index = PolicyIndex::build(policy, revision);
     }
+    pushed = PolicyRevision::make(policy, std::move(index));
   }
   {
     std::lock_guard<std::mutex> lock(revision_mu_);
-    last_pushed_digest_ = digest;
-    last_pushed_index_ = index;
+    head_digest_ = digest;
+    head_ = pushed;
   }
   if (metrics_) {
     metrics_->counter("cia_policy_index_builds_total", {{"mode", mode}}).inc();
@@ -268,11 +270,7 @@ Status VerifierPool::push_revision(const std::vector<std::string>& agent_ids,
           .inc(delta->entry_count());
     }
   }
-  for (const std::string& id : agent_ids) {
-    Shard& shard = *shard_ptr(owner_of(id));
-    std::lock_guard<std::mutex> lock(shard.mailbox_mu);
-    shard.mailbox.push_back({id, policy, index});
-  }
+  enqueue(agent_ids, pushed);
   return Status::ok_status();
 }
 
@@ -314,9 +312,8 @@ void VerifierPool::apply_pending(Shard& shard) {
   }
   for (PendingPolicy& p : pending) {
     // The swap itself is copy-on-write: an appraisal that already
-    // snapshotted the old index keeps it alive through its shared_ptr.
-    Status st = shard.verifier.set_indexed_policy(
-        p.agent_id, std::move(p.policy), std::move(p.index));
+    // snapshotted the old revision keeps it alive through its shared_ptr.
+    Status st = shard.verifier.set_revision(p.agent_id, std::move(p.revision));
     if (!st.ok()) {
       CIA_LOG_WARN("pool", "policy swap for " + p.agent_id +
                                " failed: " + st.error().message);
@@ -632,6 +629,12 @@ Status VerifierPool::resize(std::size_t new_shards) {
         .set(static_cast<double>(active_shards_));
   }
 
+  // Bind every queued push before anyone moves. A mailbox entry is
+  // routed to the shard that owned its agent at push time, so an entry
+  // still queued when its agent leaves would fail on the source and the
+  // moved agent would never see that revision.
+  for (auto& shard : shards_) apply_pending(*shard);
+
   // Snapshot assignments first: shard_for takes ring_mu_, and the pool's
   // lock order (owners_mu_ -> ring_mu_) forbids calling it under
   // owners_mu_. std::map order keeps the migration sequence — and with
@@ -680,6 +683,12 @@ VerifierPool::MigrationResult VerifierPool::migrate_agent(
   Shard& src = *shard_ptr(src_idx);
   Shard& dst = *shard_ptr(dst_idx);
 
+  // The policy binding moves by reference, not through the payload: the
+  // pool owns both shards in one process, so the destination is bound to
+  // the exact revision object the source held. The slice's embedded
+  // policy is only ever a hostile-input parse surface here.
+  const std::shared_ptr<const PolicyRevision> revision =
+      src.verifier.revision(agent_id);
   auto slice = src.verifier.export_agent(agent_id);
   if (!slice.ok()) {
     CIA_LOG_WARN("pool", "migration export for " + agent_id +
@@ -741,6 +750,7 @@ VerifierPool::MigrationResult VerifierPool::migrate_agent(
 
   if (delivered) {
     commit_move();
+    (void)dst.verifier.set_revision(agent_id, revision);
     if (metrics_) {
       metrics_
           ->histogram("cia_pool_migration_bytes", {},
@@ -782,6 +792,7 @@ VerifierPool::MigrationResult VerifierPool::migrate_agent(
   }
   if (enrolled) {
     dst.verifier.seed_audit_tail(agent_id, tail);
+    (void)dst.verifier.set_revision(agent_id, revision);
     dst.scheduler.enroll(agent_id);
     src.verifier.remove_agent(agent_id);
     src.scheduler.remove(agent_id);

@@ -22,11 +22,13 @@
 //     so the telemetry snapshot of a run is byte-identical for a fixed
 //     (seed, shard count).
 //
-// Policy updates are copy-on-write: set_policy_bulk builds ONE
-// PolicyIndex for the new revision, enqueues the swap into each owning
-// shard's mailbox, and the shard worker applies it at its next batch
-// boundary. A batch that started under the old revision keeps its
-// shared_ptr snapshot — a mid-round update never tears a lookup.
+// Policy updates are copy-on-write: every push builds ONE immutable
+// PolicyRevision (policy + index), enqueues a pointer to it into each
+// owning shard's mailbox, and the shard worker binds it at its next
+// batch boundary. A batch that started under the old revision keeps its
+// shared_ptr snapshot — a mid-round update never tears a lookup — and a
+// migrating agent carries the very same revision object to its new
+// shard.
 //
 // Between rounds the driver thread may freely inspect shards (verifier,
 // audit chain, network stats); during advance_to()/run_round() only the
@@ -135,13 +137,15 @@ class VerifierPool : public PolicySink {
   /// Resize the ring to `new_shards` active shards and live-migrate
   /// exactly the ring-moved agents to their new owners. Waits for any
   /// in-flight round to drain at the round boundary before touching
-  /// topology. Each moved agent's verification state (log cursor, audit
-  /// sub-chain tail, staleness counters, polling schedule) travels in a
+  /// topology, and binds every queued policy push before anyone moves.
+  /// Each moved agent's verification state (log cursor, audit sub-chain
+  /// tail, staleness counters, polling schedule) travels in a
   /// HandoffPayload over the pool's dedicated handoff network; a handoff
   /// that keeps failing under injected faults falls back to clean
   /// re-enrollment of that one agent on the destination, and if even
   /// that fails the agent simply stays on its old shard until the next
-  /// resize — never a wedged shard, never a forked audit chain.
+  /// resize — never a wedged shard, never a forked audit chain. Either
+  /// way the moved agent stays bound to the PolicyRevision object it held.
   Status resize(std::size_t new_shards);
 
   /// Fault profile for the shard-to-shard handoff links (chaos testing
@@ -162,15 +166,15 @@ class VerifierPool : public PolicySink {
   std::uint64_t handoffs(const std::string& agent_id) const;
 
   // ----------------------------------------------------- policy updates
-  // Thread-safe (mailbox + copy-on-write index swap); may be called
+  // Thread-safe (mailbox + copy-on-write revision swap); may be called
   // while a round is in flight.
 
   /// PolicySink: route one agent's policy to its owning shard. Builds a
-  /// fresh PolicyIndex revision for the agent.
+  /// fresh indexed revision for the agent.
   Status set_policy(const std::string& agent_id, RuntimePolicy policy) override;
 
-  /// One shared PolicyIndex for the whole batch — built once per policy
-  /// revision, shared read-only by every covered agent on every shard.
+  /// One shared revision for the whole batch — one policy copy and one
+  /// index build, shared read-only by every covered agent on every shard.
   Status set_policy_bulk(const std::vector<std::string>& agent_ids,
                          const RuntimePolicy& policy) override;
 
@@ -178,16 +182,17 @@ class VerifierPool : public PolicySink {
   Status set_fleet_policy(const RuntimePolicy& policy);
 
   /// Content-addressed push. Three cost tiers, cheapest first:
-  ///   * `digest` equals the last revision pushed through here — the
-  ///     cached index is reused outright (zero builds; how a staged
-  ///     rollout promotes the canary revision fleet-wide for free);
-  ///   * `delta` is non-null, rebases from the last pushed digest, and
-  ///     leaves excludes alone — the cached index is patched in place
-  ///     (PolicyIndex::build_incremental), §III-C's daily-update shape;
-  ///   * otherwise a full PolicyIndex::build, which also (re)seeds the
-  ///     cache. Plain set_policy/set_policy_bulk invalidate the cache:
-  ///     they carry no digest, so the next delta push cannot prove what
-  ///     base it would be patching.
+  ///   * `digest` equals the head revision's — the head revision object
+  ///     itself is mailed (zero copies, zero builds; how a staged rollout
+  ///     promotes the canary revision fleet-wide for free);
+  ///   * `delta` is non-null, rebases from the head digest, and leaves
+  ///     excludes alone — one policy copy plus an O(delta) patch of the
+  ///     head's index (PolicyIndex::build_incremental), §III-C's
+  ///     daily-update shape;
+  ///   * otherwise one policy copy plus a full PolicyIndex::build.
+  /// The new revision becomes the head. Plain set_policy/set_policy_bulk
+  /// clear the head: they carry no digest, so the next delta push cannot
+  /// prove what base it would be patching.
   Status push_revision(const std::vector<std::string>& agent_ids,
                        const RuntimePolicy& policy, const std::string& digest,
                        const policy_store::PolicyDelta* delta) override;
@@ -195,7 +200,7 @@ class VerifierPool : public PolicySink {
   /// Policy revisions built so far (each bulk/single push is one).
   std::uint64_t policy_revision() const;
 
-  /// The agent's installed PolicyIndex revision (0 when none/unknown).
+  /// The agent's bound revision tag (0 when unindexed/unknown).
   /// Driver thread, between rounds.
   std::uint64_t policy_revision_of(const std::string& agent_id) const;
 
@@ -278,8 +283,7 @@ class VerifierPool : public PolicySink {
  private:
   struct PendingPolicy {
     std::string agent_id;
-    RuntimePolicy policy;
-    std::shared_ptr<const PolicyIndex> index;
+    std::shared_ptr<const PolicyRevision> revision;
   };
 
   struct Shard {
@@ -334,6 +338,15 @@ class VerifierPool : public PolicySink {
   };
 
   void apply_pending(Shard& shard);
+
+  /// Mail one revision to the owning shard of every listed agent.
+  void enqueue(const std::vector<std::string>& agent_ids,
+               const std::shared_ptr<const PolicyRevision>& revision);
+
+  /// Claim the next revision tag for a digest-less push (which clears
+  /// the head).
+  std::uint64_t next_headless_revision();
+
   void record_batch(Shard& shard, std::size_t batch_size, SimTime started);
 
   /// Compact the shard verifier's not-yet-staged alerts into the shard's
@@ -390,11 +403,12 @@ class VerifierPool : public PolicySink {
 
   mutable std::mutex revision_mu_;
   std::uint64_t revision_ = 0;
-  /// Last revision pushed through push_revision(): its content digest
-  /// and shared index, the base the next delta push patches. Guarded by
-  /// revision_mu_; cleared by digest-less pushes.
-  std::string last_pushed_digest_;
-  std::shared_ptr<const PolicyIndex> last_pushed_index_;
+  /// The head: the last revision pushed through push_revision() and its
+  /// content digest — what a same-digest push reuses and the base the
+  /// next delta push patches. Guarded by revision_mu_; cleared by
+  /// digest-less pushes.
+  std::string head_digest_;
+  std::shared_ptr<const PolicyRevision> head_;
 
   /// Dedicated shard-to-shard handoff fabric with its own virtual clock:
   /// migration latency and injected handoff faults never touch shard

@@ -221,9 +221,10 @@ struct DiffRig {
 
   void install_policy(const RuntimePolicy& policy) {
     ASSERT_TRUE(slow.set_policy("diff-node", policy).ok());
-    ASSERT_TRUE(
-        fast.set_indexed_policy("diff-node", policy, PolicyIndex::build(policy))
-            .ok());
+    ASSERT_TRUE(fast.set_revision("diff-node",
+                                  keylime::PolicyRevision::make(
+                                      policy, PolicyIndex::build(policy)))
+                    .ok());
   }
 
   // Attest on both stacks (no clock movement in between, so alert

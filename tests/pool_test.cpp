@@ -23,6 +23,7 @@
 #include "crypto/sha256.hpp"
 #include "experiments/pool_experiment.hpp"
 #include "keylime/policy_index.hpp"
+#include "keylime/policy_store/store.hpp"
 #include "keylime/verifier_pool.hpp"
 #include "telemetry/export.hpp"
 #include "testkit/invariants.hpp"
@@ -226,6 +227,69 @@ TEST(PoolPolicyTest, SingleAgentPolicyRoutesToOwningShard) {
   EXPECT_TRUE(fleet.pool().alerts().empty());
 }
 
+TEST(PoolPolicyTest, OnePushBindsEveryAgentToOneRevision) {
+  PoolFleetOptions options;
+  options.agents = 16;
+  options.shards = 4;
+  options.seed = 41;
+  PoolFleet fleet(options);
+  ASSERT_TRUE(fleet.init_status().ok());
+  const keylime::RuntimePolicy policy = fleet.fleet_policy();
+  ASSERT_TRUE(fleet.pool()
+                  .push_revision(fleet.agent_ids(), policy,
+                                 keylime::policy_store::policy_digest(policy),
+                                 nullptr)
+                  .ok());
+  fleet.pool().run_round();
+
+  // One policy copy for the whole fleet: every agent on every shard
+  // reads the same RuntimePolicy object.
+  std::set<const keylime::RuntimePolicy*> policies;
+  std::set<std::size_t> shards;
+  for (std::size_t s = 0; s < fleet.pool().shard_count(); ++s) {
+    const keylime::Verifier& v = fleet.pool().verifier(s);
+    for (const std::string& id : v.agent_ids()) {
+      policies.insert(v.policy(id));
+      shards.insert(s);
+    }
+  }
+  EXPECT_EQ(shards.size(), options.shards);
+  ASSERT_EQ(policies.size(), 1u);
+  EXPECT_EQ((*policies.begin())->entry_count(), policy.entry_count());
+}
+
+TEST(PoolPolicyTest, SupersededRevisionDiesWithItsLastAgent) {
+  PoolFleetOptions options;
+  options.agents = 12;
+  options.shards = 3;
+  options.seed = 43;
+  PoolFleet fleet(options);
+  ASSERT_TRUE(fleet.init_status().ok());
+  keylime::VerifierPool& pool = fleet.pool();
+  const keylime::RuntimePolicy first = fleet.fleet_policy();
+  const std::string first_digest = keylime::policy_store::policy_digest(first);
+  ASSERT_TRUE(
+      pool.push_revision(fleet.agent_ids(), first, first_digest, nullptr).ok());
+  pool.run_round();
+  const std::string& id = fleet.agent_ids().front();
+  const std::weak_ptr<const keylime::PolicyRevision> old =
+      pool.verifier(pool.shard_for(id)).revision(id);
+  ASSERT_FALSE(old.expired());
+
+  // The next revision is a delta push: its index overlays the old one,
+  // but nothing may keep the old revision (and its policy copy) alive.
+  keylime::RuntimePolicy second = first;
+  second.allow("/usr/bin/rolled-out", crypto::sha256(std::string("elf:new")));
+  const auto delta = keylime::policy_store::diff(first, second);
+  ASSERT_TRUE(pool.push_revision(fleet.agent_ids(), second,
+                                 delta.target_digest, &delta)
+                  .ok());
+  EXPECT_FALSE(old.expired()) << "agents still hold it until the next round";
+  pool.run_round();
+  EXPECT_TRUE(old.expired())
+      << "a revision must be freed with the last agent bound to it";
+}
+
 // ---------------------------------------------------------- determinism
 
 struct RunArtifacts {
@@ -314,9 +378,20 @@ using experiments::ChurnCampaignOptions;
 using experiments::per_agent_chain_digests;
 using experiments::run_churn_campaign;
 
+/// What a resharding run leaves behind: the per-agent audit chain
+/// digests and the fleet's merged alert stream, every field rendered —
+/// policy_revision included, so an agent that lost its policy binding on
+/// a move shows up as a diff against the run that never moved it.
+struct ReshardArtifacts {
+  std::map<std::string, std::string> chains;
+  std::vector<std::string> alerts;
+};
+
 /// Drive a churn-free advance_to campaign with the given resize
-/// schedule and return the fleet's per-agent chain digests.
-std::map<std::string, std::string> resharding_run(
+/// schedule, then one round in which every machine runs an unknown
+/// binary, so every agent — moved or not — raises one alert after the
+/// last resize.
+ReshardArtifacts resharding_run(
     std::size_t shards, std::uint64_t seed,
     std::vector<std::pair<std::size_t, std::size_t>> resize_at,
     PoolFleet** keep = nullptr) {
@@ -336,12 +411,26 @@ std::map<std::string, std::string> resharding_run(
   campaign.resize_at = std::move(resize_at);
   const auto report = run_churn_campaign(*fleet, campaign);
   EXPECT_TRUE(report.status.ok()) << report.status.error().message;
-  auto digests = per_agent_chain_digests(fleet->pool());
+  for (std::size_t i = 0; i < fleet->agent_ids().size(); ++i) {
+    fleet->exec_unknown(i);
+  }
+  fleet->pool().run_round();
+
+  ReshardArtifacts artifacts;
+  artifacts.chains = per_agent_chain_digests(fleet->pool());
+  for (const keylime::Alert& a : fleet->pool().alerts()) {
+    artifacts.alerts.push_back(strformat(
+        "%lld %s %s %s %s %s %zu rev=%llu", static_cast<long long>(a.time),
+        a.agent_id.c_str(), keylime::alert_type_name(a.type), a.path.c_str(),
+        a.observed_hash_hex.c_str(), a.detail.c_str(), a.log_index,
+        static_cast<unsigned long long>(a.policy_revision)));
+  }
+  EXPECT_EQ(artifacts.alerts.size(), fleet->agent_ids().size());
   if (keep) {
     *keep = fleet.get();
     kept.push_back(std::move(fleet));
   }
-  return digests;
+  return artifacts;
 }
 
 TEST(PoolReshardTest, MidCampaignResizeMatchesFinalShardCountRun) {
@@ -352,8 +441,9 @@ TEST(PoolReshardTest, MidCampaignResizeMatchesFinalShardCountRun) {
   PoolFleet* resized = nullptr;
   const auto a = resharding_run(3, 61, {{4, 6}}, &resized);
   const auto b = resharding_run(6, 61, {});
-  ASSERT_EQ(a.size(), 24u);
-  EXPECT_EQ(a, b);
+  ASSERT_EQ(a.chains.size(), 24u);
+  EXPECT_EQ(a.chains, b.chains);
+  EXPECT_EQ(a.alerts, b.alerts);
 
   // Only ring-moved agents pay a handoff. The moved set is exactly the
   // ids whose ring assignment differs between a 3-shard and a 6-shard
@@ -382,7 +472,8 @@ TEST(PoolReshardTest, ShrinkRetiresShardsWithoutDisturbingChains) {
   PoolFleet* shrunk = nullptr;
   const auto a = resharding_run(4, 83, {{3, 2}}, &shrunk);
   const auto b = resharding_run(2, 83, {});
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.chains, b.chains);
+  EXPECT_EQ(a.alerts, b.alerts);
 
   ASSERT_NE(shrunk, nullptr);
   EXPECT_EQ(shrunk->pool().active_shard_count(), 2u);
@@ -551,6 +642,170 @@ TEST(PoolReshardTest, CrossShardCheckerFlagsAForkedSubChain) {
   d.append(60, "y", keylime::AuditVerdict::kFailed, 1, 1,
            crypto::sha256(std::string("q1")));
   EXPECT_TRUE(testkit::check_cross_shard_audit_chains({&c, &d}).empty());
+}
+
+/// The shard verifier currently holding `id`, or nullptr.
+const keylime::Verifier* holder_of(const keylime::VerifierPool& pool,
+                                   const std::string& id) {
+  for (std::size_t s = 0; s < pool.shard_count(); ++s) {
+    if (pool.verifier(s).agent_address(id)) return &pool.verifier(s);
+  }
+  return nullptr;
+}
+
+/// ROADMAP's migration setup: 24 agents on 3 shards, seed 61, the fleet
+/// policy pushed and one clean round run.
+std::unique_ptr<PoolFleet> migration_fleet() {
+  PoolFleetOptions options;
+  options.agents = 24;
+  options.shards = 3;
+  options.seed = 61;
+  auto fleet = std::make_unique<PoolFleet>(options);
+  EXPECT_TRUE(fleet->init_status().ok());
+  EXPECT_TRUE(fleet->push_fleet_policy().ok());
+  fleet->run_workload_round(0);
+  EXPECT_EQ(fleet->pool().run_round(), options.agents);
+  EXPECT_TRUE(fleet->pool().alerts().empty());
+  return fleet;
+}
+
+using RevisionMap =
+    std::map<std::string, std::shared_ptr<const keylime::PolicyRevision>>;
+
+RevisionMap revisions_of(const PoolFleet& fleet) {
+  RevisionMap out;
+  for (const std::string& id : fleet.agent_ids()) {
+    const keylime::Verifier* v = holder_of(fleet.pool(), id);
+    out[id] = v ? v->revision(id) : nullptr;
+  }
+  return out;
+}
+
+TEST(PoolReshardTest, HandoffKeepsTheRevisionObject) {
+  const auto fleet = migration_fleet();
+  keylime::VerifierPool& pool = fleet->pool();
+  const RevisionMap before = revisions_of(*fleet);
+
+  ASSERT_TRUE(pool.resize(6).ok());
+  std::size_t moved = 0;
+  for (const std::string& id : fleet->agent_ids()) {
+    if (pool.handoffs(id) == 0) continue;
+    ++moved;
+    const keylime::Verifier* v = holder_of(pool, id);
+    ASSERT_NE(v, nullptr) << id;
+    EXPECT_EQ(v->revision(id), before.at(id))
+        << id << " must hold the very revision object it held on its source";
+    EXPECT_EQ(pool.policy_revision_of(id), before.at(id)->revision()) << id;
+    EXPECT_NE(pool.policy_revision_of(id), 0u) << id;
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(pool.migration_stats().ok, moved);
+}
+
+TEST(PoolReshardTest, FallbackReenrolmentKeepsTheRevision) {
+  const auto fleet = migration_fleet();
+  keylime::VerifierPool& pool = fleet->pool();
+  const RevisionMap before = revisions_of(*fleet);
+
+  // Every handoff is lost: each moved agent is re-enrolled afresh on
+  // its destination, and must still appraise under its revision.
+  netsim::FaultProfile lossy;
+  lossy.drop_rate = 1.0;
+  pool.set_handoff_faults(lossy);
+  ASSERT_TRUE(pool.resize(2).ok());
+  const auto& stats = pool.migration_stats();
+  EXPECT_GT(stats.fallback, 0u);
+  EXPECT_EQ(stats.ok, 0u);
+  EXPECT_EQ(stats.failed, 0u);
+  for (const std::string& id : fleet->agent_ids()) {
+    if (pool.handoffs(id) == 0) continue;
+    const keylime::Verifier* v = holder_of(pool, id);
+    ASSERT_NE(v, nullptr) << id;
+    EXPECT_EQ(v->revision(id), before.at(id)) << id;
+    ASSERT_NE(v->policy(id), nullptr) << id;
+    EXPECT_GT(v->policy(id)->entry_count(), 0u) << id;
+  }
+
+  // The re-enrolled agents replay their whole log from offset zero; a
+  // clean fleet must stay alert-free.
+  fleet->run_workload_round(1);
+  EXPECT_EQ(pool.run_round(), fleet->agent_ids().size());
+  EXPECT_TRUE(pool.alerts().empty())
+      << pool.alerts().size() << " alerts on a clean fleet, first: "
+      << pool.alerts().front().agent_id << " "
+      << keylime::alert_type_name(pool.alerts().front().type);
+}
+
+TEST(PoolReshardTest, PushQueuedBeforeResizeReachesMovedAgents) {
+  const auto fleet = migration_fleet();
+  keylime::VerifierPool& pool = fleet->pool();
+
+  // A second revision allows a new tool, pushed to every agent but not
+  // yet applied (no round runs) when the ring grows.
+  const std::string tool = "/usr/bin/rolled-out";
+  keylime::RuntimePolicy second = fleet->fleet_policy();
+  second.allow(tool, crypto::sha256(std::string("elf:new")));
+  ASSERT_TRUE(pool.push_revision(fleet->agent_ids(), second,
+                                 keylime::policy_store::policy_digest(second),
+                                 nullptr)
+                  .ok());
+  const std::uint64_t swaps_before = pool.stats().policy_swaps;
+  ASSERT_TRUE(pool.resize(6).ok());
+  EXPECT_EQ(pool.stats().policy_swaps - swaps_before,
+            fleet->agent_ids().size())
+      << "resize must bind every queued push before it moves anyone";
+
+  const auto& first = fleet->agent_ids().front();
+  const auto head = holder_of(pool, first)->revision(first);
+  ASSERT_EQ(head->revision(), pool.policy_revision());
+  std::size_t moved = 0;
+  for (const std::string& id : fleet->agent_ids()) {
+    moved += pool.handoffs(id);
+    EXPECT_EQ(holder_of(pool, id)->revision(id), head) << id;
+    EXPECT_EQ(pool.policy_revision_of(id), pool.policy_revision()) << id;
+  }
+  EXPECT_GT(moved, 0u);
+
+  for (std::size_t i = 0; i < fleet->agent_ids().size(); ++i) {
+    ASSERT_TRUE(fleet->machine(i)
+                    .fs()
+                    .create_file(tool, to_bytes("elf:new"), true)
+                    .ok());
+    ASSERT_TRUE(fleet->machine(i).exec(tool).ok());
+  }
+  EXPECT_EQ(pool.run_round(), fleet->agent_ids().size());
+  EXPECT_TRUE(pool.alerts().empty())
+      << "a moved agent appraised under the superseded revision";
+}
+
+TEST(PoolReshardTest, ResizeLeavesCheckpointBytesUnchanged) {
+  // Sharing revisions must not change a byte of what a shard persists or
+  // a handoff carries: checkpoints and slices still embed the policy
+  // JSON. The digests below were recorded on the per-agent-copy build.
+  const auto fleet = migration_fleet();
+  keylime::VerifierPool& pool = fleet->pool();
+  fleet->run_workload_round(1);
+  pool.run_round();
+  ASSERT_TRUE(pool.resize(6).ok());
+  fleet->run_workload_round(2);
+  pool.run_round();
+
+  std::string moved;
+  for (const std::string& id : fleet->agent_ids()) {
+    if (pool.handoffs(id) > 0) {
+      moved = id;
+      break;
+    }
+  }
+  ASSERT_FALSE(moved.empty());
+  const keylime::Verifier* dst = holder_of(pool, moved);
+  const auto slice = dst->export_agent(moved);
+  ASSERT_TRUE(slice.ok());
+  EXPECT_EQ(crypto::digest_hex(crypto::sha256(slice.value().dump())),
+            "2c44986e507b618457e08f337f1d7bd58641e6403faef035da7fb49b52e1d569")
+      << moved;
+  EXPECT_EQ(crypto::digest_hex(crypto::sha256(dst->checkpoint().dump())),
+            "b0daa9fcbc9cfa2b79dca461a8d2dfbca6bf8f4bd5de76c5267b6312bdb4e6e3");
 }
 
 // --------------------------------------------------------- policy index
