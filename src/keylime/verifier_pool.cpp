@@ -405,8 +405,12 @@ std::size_t VerifierPool::run_round() {
   std::lock_guard<std::mutex> drive(drive_mu_);
   std::size_t before = 0;
   for (auto& shard : shards_) before += shard->polls;
+  // Bind queued pushes here, on the driver, before the workers start. The
+  // swap that unbinds a superseded revision frees it, so that O(policy)
+  // release runs once on the driver, not inside whichever shard worker
+  // drops the last reference while its siblings poll.
+  for (auto& shard : shards_) apply_pending(*shard);
   parallel_shards([this](Shard& shard) {
-    apply_pending(shard);
     const SimTime started = shard.clock.now();
     const auto rounds = shard.verifier.attest_all();
     shard.polls += rounds.size();

@@ -24,8 +24,9 @@
 //
 // Policy updates are copy-on-write: every push builds ONE immutable
 // PolicyRevision (policy + index), enqueues a pointer to it into each
-// owning shard's mailbox, and the shard worker binds it at its next
-// batch boundary. A batch that started under the old revision keeps its
+// owning shard's mailbox, and it is bound at the shard's next batch
+// boundary (in run_round(), by the driver before the workers start). A
+// batch that started under the old revision keeps its
 // shared_ptr snapshot — a mid-round update never tears a lookup — and a
 // migrating agent carries the very same revision object to its new
 // shard.
@@ -304,7 +305,8 @@ class VerifierPool : public PolicySink {
     AttestationScheduler scheduler;
 
     // Policy mailbox: filled by any thread, drained by the shard worker
-    // at batch boundaries (or by the driver between rounds).
+    // at advance_to's batch boundaries, or by the driver between rounds
+    // and at the start of run_round().
     std::mutex mailbox_mu;
     std::vector<PendingPolicy> mailbox;
 
