@@ -566,56 +566,40 @@ Result<AttestationRound> Verifier::attest_once_impl(const std::string& agent_id)
   const std::uint64_t base_offset = rec.log_offset;
   rec.log_offset += qr.entries.size();
 
-  bool halted = false;
-  while (!rec.pending.empty()) {
-    const auto& [index, entry] = rec.pending.front();
+  // One entry's step: count it, skip boot_aggregate, appraise, raise on a
+  // violation. Returns true when the round must halt on it (P2).
+  auto evaluate = [&](std::string_view path, const crypto::Digest& file_hash,
+                      const crypto::Digest& template_hash,
+                      std::size_t log_index) {
     ++round.evaluated;
-    if (entry.path == "boot_aggregate") {
-      rec.pending.pop_front();
-      continue;
-    }
+    if (path == "boot_aggregate") return false;
     const PolicyMatch match =
-        appraise(*snapshot, entry.path, entry.file_hash, entry.template_hash);
+        appraise(*snapshot, path, file_hash, template_hash);
     if (match == PolicyMatch::kAllowed || match == PolicyMatch::kExcluded) {
-      rec.pending.pop_front();
-      continue;
+      return false;
     }
     const AlertType type = (match == PolicyMatch::kHashMismatch)
                                ? AlertType::kHashMismatch
                                : AlertType::kNotInPolicy;
-    raise(rec, agent_id, type, entry.path,
-          crypto::digest_hex(entry.file_hash),
-          policy_match_name(match), index, round);
-    rec.pending.pop_front();
-    if (!config_.continue_on_failure) {
-      halted = true;
-      break;
-    }
-  }
+    raise(rec, agent_id, type, std::string(path),
+          crypto::digest_hex(file_hash), policy_match_name(match), log_index,
+          round);
+    return !config_.continue_on_failure;
+  };
 
+  bool halted = false;
+  while (!halted && !rec.pending.empty()) {
+    const auto& [index, entry] = rec.pending.front();
+    halted = evaluate(entry.path, entry.file_hash, entry.template_hash, index);
+    rec.pending.pop_front();
+  }
+  // A halting entry is judged; the entries after it stay unevaluated.
   std::size_t next = 0;
-  if (!halted) {
-    for (; next < qr.entries.size(); ++next) {
-      const LogEntryView& entry = qr.entries[next];
-      ++round.evaluated;
-      if (entry.path == "boot_aggregate") continue;
-      const PolicyMatch match =
-          appraise(*snapshot, entry.path, entry.file_hash, entry.template_hash);
-      if (match == PolicyMatch::kAllowed || match == PolicyMatch::kExcluded) {
-        continue;
-      }
-      const AlertType type = (match == PolicyMatch::kHashMismatch)
-                                 ? AlertType::kHashMismatch
-                                 : AlertType::kNotInPolicy;
-      raise(rec, agent_id, type, std::string(entry.path),
-            crypto::digest_hex(entry.file_hash), policy_match_name(match),
-            base_offset + next, round);
-      if (!config_.continue_on_failure) {
-        ++next;  // this entry is judged; the rest stay unevaluated
-        halted = true;
-        break;
-      }
-    }
+  while (!halted && next < qr.entries.size()) {
+    const LogEntryView& entry = qr.entries[next];
+    halted = evaluate(entry.path, entry.file_hash, entry.template_hash,
+                      base_offset + next);
+    ++next;
   }
   // Entries not evaluated this round are the incomplete-attestation
   // window attackers exploit (P2). Materialize them into the owning

@@ -32,10 +32,19 @@ void add_check(ScenarioOutcome& out, std::string name, bool ok,
   out.checks.push_back({std::move(name), ok, std::move(detail)});
 }
 
-/// A different shard count for rerun-based invariance checks (the same
-/// alternation cia_sim --storm used).
+/// A different shard count for rerun-based invariance checks.
 std::size_t other_shard_count(std::size_t shards) {
   return shards == 3 ? 8 : 3;
+}
+
+/// Run `primary` with the log->counter bridge feeding `metrics`, so an
+/// export counts the primary run's warn/error lines and no rerun's.
+template <typename Run>
+auto with_log_counter(telemetry::MetricsRegistry* metrics, Run&& primary) {
+  if (metrics) telemetry::attach_log_counter(metrics);
+  auto result = primary();
+  if (metrics) telemetry::attach_log_counter(nullptr);
+  return result;
 }
 
 /// Diff two per-agent digest maps; empty string == identical.
@@ -58,13 +67,14 @@ Result<ScenarioOutcome> run_storm(const Scenario& sc,
                                   ScenarioOutcome out) {
   StormOptions storm = lower_storm(sc);
   storm.metrics = options.metrics;
-  const StormReport report = run_alert_storm(storm);
+  const StormReport report = with_log_counter(
+      options.metrics, [&] { return run_alert_storm(storm); });
   if (!report.status.ok()) return report.status.error();
   out.report = storm_report_json(report);
   out.incident_stream = report.incident_stream;
 
   if (!storm.rollout) {
-    // The three accounting contracts the legacy cia_sim --storm pinned.
+    // The three accounting contracts of an unstaged storm.
     add_check(out, "incidents_match_root_causes",
               report.incidents_opened == report.root_causes,
               strformat("%llu incidents opened for %zu root causes",
@@ -172,14 +182,7 @@ Result<ScenarioOutcome> run_churn(const Scenario& sc,
     PoolFleet fleet(fo);
     if (!fleet.init_status().ok()) return fleet.init_status().error();
     if (Status s = fleet.push_fleet_policy(); !s.ok()) return s.error();
-    if (sc.faults.any()) {
-      netsim::FaultProfile faults;
-      faults.drop_rate = sc.faults.drop_rate;
-      faults.timeout_rate = sc.faults.timeout_rate;
-      faults.duplicate_rate = sc.faults.duplicate_rate;
-      faults.timeout_latency = sc.faults.timeout_latency;
-      fleet.pool().set_fleet_faults(faults);
-    }
+    if (sc.faults.any()) fleet.pool().set_fleet_faults(lower_faults(sc));
     ChurnCampaignOptions co = campaign;
     co.resize_at = resizes;
     ChurnRun result;
@@ -193,7 +196,9 @@ Result<ScenarioOutcome> run_churn(const Scenario& sc,
     return result;
   };
 
-  auto primary = run(campaign.resize_at, options.metrics);
+  auto primary = with_log_counter(options.metrics, [&] {
+    return run(campaign.resize_at, options.metrics);
+  });
   if (!primary.ok()) return primary.error();
   const ChurnRun& pr = primary.value();
   out.chain_digests = pr.digests;
@@ -216,8 +221,8 @@ Result<ScenarioOutcome> run_churn(const Scenario& sc,
                       static_cast<unsigned long long>(pr.migration.failed)));
 
   if (options.self_check) {
-    // The legacy cia_sim --churn drift check: the identical campaign
-    // with no resizes must produce byte-identical per-agent chains.
+    // Resize drift: the identical campaign with no resizes must produce
+    // byte-identical per-agent chains.
     auto baseline = run({}, nullptr);
     if (!baseline.ok()) return baseline.error();
     const std::string drift =
@@ -285,14 +290,7 @@ Result<ScenarioOutcome> run_fleet(const Scenario& sc,
     } else if (Status s = fleet.push_fleet_policy(); !s.ok()) {
       return s.error();
     }
-    if (sc.faults.any()) {
-      netsim::FaultProfile faults;
-      faults.drop_rate = sc.faults.drop_rate;
-      faults.timeout_rate = sc.faults.timeout_rate;
-      faults.duplicate_rate = sc.faults.duplicate_rate;
-      faults.timeout_latency = sc.faults.timeout_latency;
-      fleet.pool().set_fleet_faults(faults);
-    }
+    if (sc.faults.any()) fleet.pool().set_fleet_faults(lower_faults(sc));
     FleetRun result;
     for (std::int64_t round = 0; round < sc.fleet_run.rounds; ++round) {
       fleet.run_workload_round(static_cast<std::uint64_t>(round));
@@ -321,8 +319,9 @@ Result<ScenarioOutcome> run_fleet(const Scenario& sc,
     return result;
   };
 
-  auto primary = run(static_cast<std::size_t>(sc.fleet.shards),
-                     options.metrics);
+  auto primary = with_log_counter(options.metrics, [&] {
+    return run(static_cast<std::size_t>(sc.fleet.shards), options.metrics);
+  });
   if (!primary.ok()) return primary.error();
   const FleetRun& pr = primary.value();
   out.chain_digests = pr.digests;
@@ -389,7 +388,9 @@ Result<ScenarioOutcome> run_chaos(const Scenario& sc,
                                   ScenarioOutcome out) {
   ChaosOptions chaos = lower_chaos(sc);
   chaos.metrics = options.metrics;
-  const ChaosReport report = run_chaos_experiment(chaos);
+  chaos.tracer = options.tracer;
+  const ChaosReport report = with_log_counter(
+      options.metrics, [&] { return run_chaos_experiment(chaos); });
   if (!report.valid) {
     return err(Errc::kInvalidArgument,
                "chaos rig setup failed for script \"" + sc.chaos.script +
@@ -397,7 +398,7 @@ Result<ScenarioOutcome> run_chaos(const Scenario& sc,
   }
   out.report = chaos_report_json(report);
 
-  // The cia_chaos PASS predicate, one named verdict per clause.
+  // The resilience predicate, one named verdict per clause.
   add_check(out, "no_transport_false_positives",
             report.transport_false_positives == 0,
             strformat("%zu transport-attributable policy alerts",
@@ -480,6 +481,15 @@ PoolFleetOptions lower_fleet(const Scenario& sc) {
   return options;
 }
 
+netsim::FaultProfile lower_faults(const Scenario& sc) {
+  netsim::FaultProfile faults;
+  faults.drop_rate = sc.faults.drop_rate;
+  faults.timeout_rate = sc.faults.timeout_rate;
+  faults.duplicate_rate = sc.faults.duplicate_rate;
+  faults.timeout_latency = sc.faults.timeout_latency;
+  return faults;
+}
+
 StormOptions lower_storm(const Scenario& sc) {
   StormOptions options;
   options.seed = sc.seed;
@@ -518,8 +528,7 @@ StormOptions lower_storm(const Scenario& sc) {
 
 ChurnCampaignOptions lower_churn(const Scenario& sc) {
   ChurnCampaignOptions options;
-  // The campaign RNG seed derives exactly as the legacy cia_sim harness
-  // derived it, so a scenario file replays a CLI run byte for byte.
+  // The campaign RNG has its own seed, derived from the scenario's.
   options.seed = sc.seed ^ 0xc4u;
   options.rounds = static_cast<std::size_t>(sc.churn.rounds);
   options.round_period = sc.churn.round_period;
@@ -575,8 +584,8 @@ json::Value storm_report_json(const StormReport& report) {
   }
   doc.set("opened_by_severity", std::move(by_severity));
   doc.set("incident_stream", report.incident_stream);
-  // Rollout fields only when the storm was staged: legacy storm reports
-  // must stay byte-identical to the harness stream they pin.
+  // Rollout fields only when the storm was staged, so unstaged storm
+  // reports keep their pinned bytes.
   if (!report.rollout_state.empty()) {
     doc.set("rollout_state", report.rollout_state);
     doc.set("canary_agents",

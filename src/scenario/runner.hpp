@@ -1,21 +1,21 @@
-// Deterministic scenario execution.
+// Deterministic scenario execution — the one way to run a campaign.
 //
-// The runner lowers a validated Scenario onto the exact option structs
-// the hand-coded harnesses used (experiments::StormOptions,
-// ChurnCampaignOptions, ChaosOptions, PoolFleetOptions,
-// FnExperimentOptions) and calls the same library entry points, so a
-// scenario file replays a legacy harness run byte for byte — that is
-// the contract the differential suite in tests/scenario_test.cpp pins.
+// The runner lowers a validated Scenario onto the option structs of the
+// library entry points (experiments::StormOptions, ChurnCampaignOptions,
+// ChaosOptions, PoolFleetOptions, FnExperimentOptions) and calls them,
+// so a scenario file and a direct library call with the lowered options
+// produce the same run byte for byte — the contract the differential
+// suite in tests/scenario_test.cpp pins.
 //
-// Each kind carries invariant self-checks distilled from the harness it
-// retired: the storm contracts cia_sim --storm enforced (incident count
-// == root causes, widest incident == fleet, lossless dedup accounting,
-// stream stable across repartition + mid-storm resize), the churn
-// no-resize chain-digest diff cia_sim --churn ran, the chaos PASS
-// predicate from cia_chaos, the Table II expectations from
-// experiments_test, and a partition-invariance digest diff for plain
-// fleet runs. Cheap checks always run; the expensive ones (full
-// campaign reruns) only under RunOptions::self_check.
+// Each kind carries invariant self-checks: the storm contracts
+// (incident count == root causes, widest incident == fleet, lossless
+// dedup accounting, stream stable across repartition + mid-storm
+// resize), the churn no-resize chain-digest diff, the chaos resilience
+// predicate (no transport false positives, liveness, audit chain,
+// detection, checkpoint round trip), the Table II expectations, and a
+// partition-invariance digest diff for plain fleet runs. Cheap checks
+// always run; the expensive ones (full campaign reruns) only under
+// RunOptions::self_check.
 #pragma once
 
 #include <map>
@@ -28,8 +28,10 @@
 #include "experiments/chaos_experiment.hpp"
 #include "experiments/fn_experiment.hpp"
 #include "experiments/pool_experiment.hpp"
+#include "netsim/network.hpp"
 #include "scenario/scenario.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 
 namespace cia::scenario {
 
@@ -47,8 +49,14 @@ struct RunOptions {
   /// Override the file's seed (the differential axis: same file,
   /// different seed → different but still deterministic run).
   std::optional<std::uint64_t> seed;
-  /// When set, the run's components export telemetry here.
+  /// When set, the run's components export telemetry here, and the
+  /// log->counter bridge (telemetry::attach_log_counter) counts the
+  /// primary run's warn/error lines into cia_log_events_total. Self-check
+  /// reruns export nothing.
   telemetry::MetricsRegistry* metrics = nullptr;
+  /// kind=chaos: when set, the rig's components emit span trees here
+  /// (the rig rebinds it to its own clock). Other kinds ignore it.
+  telemetry::Tracer* tracer = nullptr;
 };
 
 struct ScenarioOutcome {
@@ -59,7 +67,7 @@ struct ScenarioOutcome {
   /// dump() is the byte-comparable form).
   json::Value report;
   /// kind=storm: the canonical incident snapshot JSON — byte-identical
-  /// to the legacy run_alert_storm stream for the same (file, seed).
+  /// to run_alert_storm's stream for the lowered options.
   std::string incident_stream;
   /// kind=churn/fleet: partition-independent per-agent audit sub-chain
   /// digests (experiments::per_agent_chain_digests).
@@ -74,7 +82,7 @@ struct ScenarioOutcome {
   }
 };
 
-// Lowerings (exposed so the differential tests can call the legacy
+// Lowerings (exposed so the differential tests can call the library
 // entry points with provably identical options).
 
 /// storm/churn/fleet: the PoolFleetOptions a scenario's fleet section
@@ -84,19 +92,23 @@ experiments::PoolFleetOptions lower_fleet(const Scenario& sc);
 /// kind=storm → run_alert_storm options.
 experiments::StormOptions lower_storm(const Scenario& sc);
 
+/// churn/fleet: the link faults $.faults describes (storm lowers its
+/// drop rate into StormOptions instead).
+netsim::FaultProfile lower_faults(const Scenario& sc);
+
 /// kind=churn → run_churn_campaign options (campaign seed derives as
-/// scenario seed ^ 0xc4, matching the legacy cia_sim harness).
+/// scenario seed ^ 0xc4).
 experiments::ChurnCampaignOptions lower_churn(const Scenario& sc);
 
 /// kind=chaos → run_chaos_experiment options (base_package_count from
-/// $.chaos.base_packages, matching the legacy cia_chaos harness).
+/// $.chaos.base_packages).
 experiments::ChaosOptions lower_chaos(const Scenario& sc);
 
 /// kind=attacks → run_fn_experiment options.
 experiments::FnExperimentOptions lower_attacks(const Scenario& sc);
 
-// Canonical report documents (shared by the runner, the CLIs, and the
-// differential tests — one serialization, one comparison surface).
+// Canonical report documents (shared by the runner and the differential
+// tests — one serialization, one comparison surface).
 json::Value storm_report_json(const experiments::StormReport& report);
 json::Value churn_report_json(const experiments::ChurnReport& report);
 json::Value chaos_report_json(const experiments::ChaosReport& report);

@@ -7,13 +7,12 @@
 #include <fstream>
 #include <initializer_list>
 
+#include "common/strutil.hpp"
 #include "experiments/chaos_experiment.hpp"
 
 namespace cia::scenario {
 
 namespace {
-
-constexpr std::int64_t kMaxExactInt = 9007199254740992;  // 2^53
 
 /// Typed field access over one JSON object with strict, path-qualified
 /// diagnostics. First error wins; later getters become no-ops so a
@@ -277,7 +276,7 @@ ChaosSection read_chaos(const json::Value& v, Error* error) {
     if (std::find(scripts.begin(), scripts.end(), chaos.script) ==
         scripts.end()) {
       r.fail("$.chaos.script: unknown chaos script \"" + chaos.script +
-             "\" (see cia_chaos list)");
+             "\" (one of: " + join(scripts, ", ") + ")");
     }
   }
   return chaos;

@@ -6,10 +6,10 @@
 // profiles, mid-run ring resizes, policy-update storms, enrollment
 // churn, the scripted chaos fault schedules, and the P1–P5 adaptive
 // attack matrix. The runner (runner.hpp) lowers a validated Scenario
-// onto the exact option structs the hand-coded harnesses used, so a
-// (file, seed) pair replays byte-for-byte — the differential suite in
-// tests/scenario_test.cpp pins scenario runs against the legacy
-// harness entry points they replaced.
+// onto the option structs of the experiment libraries' entry points, so
+// a (file, seed) pair replays byte-for-byte — the differential suite in
+// tests/scenario_test.cpp pins scenario runs against direct calls of
+// those entry points.
 //
 // Validation is strict and total: unknown fields anywhere are errors,
 // every numeric field is range-checked, and cross-references (resize
@@ -129,6 +129,10 @@ struct FleetRunSection {
 struct AttacksSection {
   std::int64_t archive_packages = 1500;
 };
+
+/// The largest integer a JSON number holds exactly (2^53): the upper
+/// bound of `seed` and of every other unbounded integer field.
+constexpr std::int64_t kMaxExactInt = 9007199254740992;
 
 struct Scenario {
   std::int64_t version = 1;

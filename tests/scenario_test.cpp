@@ -315,8 +315,9 @@ TEST(ScenarioSchemaTest, EveryInvalidFixtureFailsWithThePinnedMessage) {
       {"unknown chaos script",
        R"({"version":1,"name":"x","kind":"chaos",
            "chaos":{"script":"meteor-strike"}})",
-       "$.chaos.script: unknown chaos script \"meteor-strike\" (see "
-       "cia_chaos list)"},
+       "$.chaos.script: unknown chaos script \"meteor-strike\" (one of: "
+       "wan-loss, agent-crash-loop, verifier-restart, registrar-outage, "
+       "mirror-partition, flaky-window)"},
       {"section not valid for kind",
        R"({"version":1,"name":"x","kind":"attacks","attacks":{},
            "storm":{"storm_rounds":2}})",

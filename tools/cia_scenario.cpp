@@ -1,14 +1,23 @@
 // cia_scenario — run schema-validated scenario files deterministically.
+// This is the one campaign runner: chaos scripts, churn, alert storms,
+// staged rollouts, pool fleets and the Table II attack matrix all run
+// from a file (docs/SCENARIOS.md).
 //
 //   cia_scenario run FILE [--seed S] [--self-check] [--telemetry PREFIX]
 //                [--report FILE|-]
 //       Validate FILE, execute it (same file + same seed => byte-identical
 //       run), print every invariant verdict, and exit nonzero if any
-//       fails. --self-check also runs the expensive cross-run invariants
-//       (repartition/resize reruns for storms, the no-resize baseline for
-//       churn, a different-shard-count rerun for fleet). --telemetry
-//       writes PREFIX.prom and PREFIX.json metric exports; --report
-//       writes the canonical report JSON ("-" = stdout).
+//       fails. --seed overrides the file's seed (decimal digits, at most
+//       2^53, like the file's own field). --self-check also runs the
+//       expensive cross-run invariants (repartition/resize reruns for
+//       storms, the no-resize baseline for churn, a different-shard-count
+//       rerun for fleet). --telemetry writes the run's metrics as
+//       PREFIX.prom (Prometheus text) and PREFIX.json (canonical
+//       snapshot, the input of `cia_metrics diff`), plus PREFIX.trace.json
+//       (Chrome trace_event spans) for chaos kinds and
+//       PREFIX.incidents.json (canonical incident snapshot, the input of
+//       `cia_metrics incidents`) for storm kinds. --report writes the
+//       canonical report JSON ("-" = stdout).
 //
 //   cia_scenario validate FILE...
 //       Parse + schema-check each file without running it. Prints the
@@ -26,10 +35,12 @@
 #include <vector>
 
 #include "common/log.hpp"
+#include "common/sim_clock.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 
 namespace {
 
@@ -43,6 +54,21 @@ bool write_file(const std::string& path, const std::string& content) {
   }
   out << content;
   return true;
+}
+
+/// A --seed value as the file's `seed` field accepts it: decimal digits
+/// only, at most 2^53. Empty when the text is anything else.
+std::optional<std::uint64_t> parse_seed(const char* text) {
+  if (*text == '\0') return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char* p = text; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return std::nullopt;
+    value = value * 10 + static_cast<std::uint64_t>(*p - '0');
+    if (value > static_cast<std::uint64_t>(scenario::kMaxExactInt)) {
+      return std::nullopt;
+    }
+  }
+  return value;
 }
 
 int cmd_run(int argc, char** argv) {
@@ -65,8 +91,15 @@ int cmd_run(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--seed") {
-      options.seed = static_cast<std::uint64_t>(
-          std::strtoull(next(), nullptr, 10));
+      const char* text = next();
+      options.seed = parse_seed(text);
+      if (!options.seed) {
+        std::fprintf(stderr,
+                     "bad value for --seed: \"%s\" (decimal digits, at "
+                     "most 2^53)\n",
+                     text);
+        return 2;
+      }
     } else if (arg == "--self-check") {
       options.self_check = true;
     } else if (arg == "--telemetry") {
@@ -85,7 +118,12 @@ int cmd_run(int argc, char** argv) {
     return 2;
   }
   telemetry::MetricsRegistry metrics;
-  if (!telemetry_prefix.empty()) options.metrics = &metrics;
+  SimClock trace_clock;  // placeholder; the chaos rig rebinds the tracer
+  telemetry::Tracer tracer(&trace_clock);
+  if (!telemetry_prefix.empty()) {
+    options.metrics = &metrics;
+    options.tracer = &tracer;
+  }
 
   auto run = scenario::run_scenario(loaded.value(), options);
   if (!run.ok()) {
@@ -117,6 +155,16 @@ int cmd_run(int argc, char** argv) {
                     telemetry::to_prometheus(snapshot)) ||
         !write_file(telemetry_prefix + ".json",
                     telemetry::to_json(snapshot).dump() + "\n")) {
+      return 1;
+    }
+    if (outcome.kind == scenario::Kind::kChaos &&
+        !write_file(telemetry_prefix + ".trace.json",
+                    tracer.chrome_trace().dump() + "\n")) {
+      return 1;
+    }
+    if (outcome.kind == scenario::Kind::kStorm &&
+        !write_file(telemetry_prefix + ".incidents.json",
+                    outcome.incident_stream + "\n")) {
       return 1;
     }
   }

@@ -16,53 +16,19 @@
 //   cia_sim table1 [--seed S]
 //       Table I: daily (31d) vs weekly (35d) update-cost summary.
 //
-//   cia_sim fleet [--days N] [--seed S] [--shards N] [--agents N]
+//   cia_sim fleet [--days N] [--seed S]
 //       Fleet-scale operation: N days of the dynamic scheme across
-//       several nodes with staggered polling over a lossy network.
-//       With --shards the fleet runs through the sharded VerifierPool
-//       instead of a single verifier: one attestation round per day,
-//       indexed appraisal, and a per-shard ownership report.
-//
-//   cia_sim fleet --churn [--rounds N] [--resize-at R:S]... [--seed S]
-//                 [--shards N] [--agents N]
-//       Enrollment-churn campaign over the sharded pool: continuous
-//       join/leave/reboot plus any scheduled mid-run resizes
-//       (--resize-at 4:6 resizes to 6 shards before round 4; repeat the
-//       flag for several resize points). The run then replays the SAME
-//       churn campaign with no resizes and diffs every agent's audit
-//       sub-chain digest — any drift is a resharding bug and exits
-//       nonzero, which is what the CI churn-smoke job pins.
-//
-//   cia_sim fleet --storm [--agents N] [--shards N] [--rounds N]
-//                 [--bad-paths N] [--drop-rate P] [--seed S]
-//       Alert-storm chaos scenario: a bad policy revision is bulk-pushed
-//       to the whole fleet while per-link drop faults add transport
-//       chaos. Self-checks pin the alert pipeline's contract — the storm
-//       must collapse into O(root causes) incidents with exact
-//       affected-agent counts, and the canonical incident stream must be
-//       byte-identical across a different shard count AND a mid-storm
-//       resize. Exits nonzero on any violation (the CI storm-smoke job).
-//
-//   cia_sim fleet --scenario FILE [--seed S]
-//       Run a schema-validated scenario file (docs/SCENARIOS.md) with
-//       self-checks on. The flag modes above are sugar: they build the
-//       equivalent scenario and run it through the same
-//       scenario::run_scenario path, so CLI and file runs share one
-//       config-resolution path.
+//       several nodes with staggered polling over a lossy network,
+//       through a single verifier. Campaigns over the sharded
+//       VerifierPool (churn, alert storms, staged rollouts) run from
+//       scenario files: `cia_scenario run FILE` (docs/SCENARIOS.md).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/log.hpp"
 #include "experiments/fleet_experiment.hpp"
-#include "experiments/pool_experiment.hpp"
 #include "experiments/report.hpp"
-#include "scenario/runner.hpp"
-#include "scenario/scenario.hpp"
 
 namespace {
 
@@ -72,18 +38,8 @@ using namespace cia::experiments;
 struct Args {
   int days = -1;
   std::uint64_t seed = 42;
-  bool seed_set = false;
   std::string period = "daily";
   bool inject_race = false;
-  int shards = 0;  // 0 = single-verifier fleet path
-  int agents = 0;  // 0 = the chosen path's default
-  bool churn = false;
-  bool storm = false;
-  int rounds = 0;  // 0 = churn/storm default
-  int bad_paths = 0;     // 0 = storm default
-  double drop_rate = -1;  // <0 = storm default
-  std::vector<std::pair<std::size_t, std::size_t>> resize_at;  // round:shards
-  std::string scenario_file;  // --scenario FILE: run a scenario document
 };
 
 Args parse_args(int argc, char** argv, int first) {
@@ -101,38 +57,10 @@ Args parse_args(int argc, char** argv, int first) {
       args.days = std::atoi(next());
     } else if (arg == "--seed") {
       args.seed = static_cast<std::uint64_t>(std::strtoull(next(), nullptr, 10));
-      args.seed_set = true;
-    } else if (arg == "--scenario") {
-      args.scenario_file = next();
     } else if (arg == "--period") {
       args.period = next();
     } else if (arg == "--inject-race") {
       args.inject_race = true;
-    } else if (arg == "--shards") {
-      args.shards = std::atoi(next());
-    } else if (arg == "--agents") {
-      args.agents = std::atoi(next());
-    } else if (arg == "--churn") {
-      args.churn = true;
-    } else if (arg == "--storm") {
-      args.storm = true;
-    } else if (arg == "--rounds") {
-      args.rounds = std::atoi(next());
-    } else if (arg == "--bad-paths") {
-      args.bad_paths = std::atoi(next());
-    } else if (arg == "--drop-rate") {
-      args.drop_rate = std::atof(next());
-    } else if (arg == "--resize-at") {
-      const std::string spec = next();
-      const std::size_t colon = spec.find(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--resize-at wants ROUND:SHARDS, got %s\n",
-                     spec.c_str());
-        std::exit(2);
-      }
-      args.resize_at.emplace_back(
-          static_cast<std::size_t>(std::atoi(spec.substr(0, colon).c_str())),
-          static_cast<std::size_t>(std::atoi(spec.substr(colon + 1).c_str())));
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       std::exit(2);
@@ -195,121 +123,7 @@ int cmd_table1(const Args& args) {
   return 0;
 }
 
-/// Shared execution path for every pool-backed fleet mode: the CLI and
-/// `--scenario FILE` runs both resolve to a scenario::Scenario and go
-/// through the same runner (the hand-coded storm/churn/pool harness
-/// logic that used to live here now lives in scenario::run_scenario).
-int run_scenario_and_report(const cia::scenario::Scenario& sc,
-                            bool self_check) {
-  cia::scenario::RunOptions run_options;
-  run_options.self_check = self_check;
-  auto run = cia::scenario::run_scenario(sc, run_options);
-  if (!run.ok()) {
-    std::fprintf(stderr, "scenario failed: %s\n",
-                 run.error().message.c_str());
-    return 1;
-  }
-  const cia::scenario::ScenarioOutcome& outcome = run.value();
-  std::printf("scenario: %s (kind %s, seed %llu)\n", outcome.name.c_str(),
-              cia::scenario::kind_name(outcome.kind),
-              static_cast<unsigned long long>(outcome.seed));
-  // A compact stat line from the canonical report document.
-  auto stat = [&](const char* key) -> long long {
-    const json::Value* v = outcome.report.find(key);
-    return v && v->is_number() ? static_cast<long long>(v->as_int()) : -1;
-  };
-  switch (outcome.kind) {
-    case cia::scenario::Kind::kStorm:
-      std::printf("storm: %lld agents, %lld root causes, alerts %lld raw -> "
-                  "%lld emitted (%lld suppressed), %lld incidents opened, "
-                  "widest spans %lld agents\n",
-                  stat("agents"), stat("root_causes"), stat("raw_alerts"),
-                  stat("emitted_alerts"), stat("suppressed"),
-                  stat("incidents_opened"), stat("max_affected"));
-      break;
-    case cia::scenario::Kind::kChurn:
-      std::printf("churn: %lld rounds, %lld joins, %lld leaves, %lld reboots, "
-                  "%lld polls, %lld alerts\n",
-                  stat("rounds"), stat("joins"), stat("leaves"),
-                  stat("reboots"), stat("polls"), stat("alerts"));
-      break;
-    case cia::scenario::Kind::kFleet:
-      std::printf("pool fleet: %lld agents across %lld shards, %lld rounds, "
-                  "%lld polls, %lld alerts, %lld failed agents\n",
-                  stat("agents"), stat("shards"), stat("rounds"),
-                  stat("polls"), stat("alerts"), stat("failed_agents"));
-      break;
-    default:
-      break;
-  }
-  for (const cia::scenario::SelfCheck& check : outcome.checks) {
-    std::printf("  %-36s %s  %s\n", check.name.c_str(),
-                check.ok ? "ok  " : "FAIL", check.detail.c_str());
-  }
-  std::printf("self-checks: %s\n", outcome.ok() ? "ok" : "FAILED");
-  return outcome.ok() ? 0 : 1;
-}
-
-int cmd_scenario_file(const Args& args) {
-  auto loaded = cia::scenario::load_file(args.scenario_file);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.error().message.c_str());
-    return 2;
-  }
-  cia::scenario::Scenario sc = loaded.value();
-  if (args.seed_set) sc.seed = args.seed;
-  return run_scenario_and_report(sc, /*self_check=*/true);
-}
-
-int cmd_pool_fleet(const Args& args) {
-  cia::scenario::Scenario sc;
-  sc.name = "cli-pool-fleet";
-  sc.kind = cia::scenario::Kind::kFleet;
-  sc.seed = args.seed;
-  sc.fleet.shards = args.shards;
-  if (args.agents > 0) sc.fleet.agents = args.agents;
-  if (args.days > 0) sc.fleet_run.rounds = args.days;
-  return run_scenario_and_report(sc, /*self_check=*/false);
-}
-
-int cmd_churn(const Args& args) {
-  cia::scenario::Scenario sc;
-  sc.name = "cli-churn";
-  sc.kind = cia::scenario::Kind::kChurn;
-  sc.seed = args.seed;
-  if (args.shards > 0) sc.fleet.shards = args.shards;
-  if (args.agents > 0) sc.fleet.agents = args.agents;
-  if (args.rounds > 0) sc.churn.rounds = args.rounds;
-  for (const auto& [round, shards] : args.resize_at) {
-    sc.resize_at.push_back({static_cast<std::int64_t>(round),
-                            static_cast<std::int64_t>(shards)});
-  }
-  // self_check runs the no-resize baseline diff the CI churn-smoke job
-  // pins (zero per-agent chain drift across resize schedules).
-  return run_scenario_and_report(sc, /*self_check=*/true);
-}
-
-int cmd_storm(const Args& args) {
-  cia::scenario::Scenario sc;
-  sc.name = "cli-storm";
-  sc.kind = cia::scenario::Kind::kStorm;
-  sc.seed = args.seed;
-  sc.fleet.agents = args.agents > 0 ? args.agents : 1000;
-  sc.fleet.shards = args.shards > 0 ? args.shards : 8;
-  sc.fleet.retrying_transport = false;
-  if (args.rounds > 0) sc.storm.storm_rounds = args.rounds;
-  if (args.bad_paths > 0) sc.storm.bad_paths = args.bad_paths;
-  sc.faults.drop_rate = args.drop_rate >= 0 ? args.drop_rate : 0.02;
-  // self_check runs the repartition + mid-storm-resize stream-invariance
-  // contracts the CI storm-smoke job pins.
-  return run_scenario_and_report(sc, /*self_check=*/true);
-}
-
 int cmd_fleet(const Args& args) {
-  if (!args.scenario_file.empty()) return cmd_scenario_file(args);
-  if (args.storm) return cmd_storm(args);
-  if (args.churn) return cmd_churn(args);
-  if (args.shards > 0) return cmd_pool_fleet(args);
   FleetRunOptions options;
   options.seed = args.seed;
   if (args.days > 0) options.days = args.days;
@@ -333,13 +147,9 @@ void usage() {
                " [--seed S]\n"
                "  attacks [--seed S]\n"
                "  table1 [--seed S]\n"
-               "  fleet [--days N] [--seed S] [--shards N] [--agents N]\n"
-               "  fleet --churn [--rounds N] [--resize-at R:S]... [--seed S]"
-               " [--shards N] [--agents N]\n"
-               "  fleet --storm [--agents N] [--shards N] [--rounds N]"
-               " [--bad-paths N] [--drop-rate P] [--seed S]\n"
-               "  fleet --scenario FILE [--seed S]   (run a scenario file;"
-               " see docs/SCENARIOS.md)\n");
+               "  fleet [--days N] [--seed S]\n"
+               "pool campaigns: cia_scenario run FILE"
+               " (see docs/SCENARIOS.md)\n");
 }
 
 }  // namespace

@@ -9,8 +9,11 @@
 # telemetry registry, the sharded verifier pool (stress + determinism
 # suites, which drive one worker thread per shard while another thread
 # pushes policy revisions into the COW mailboxes), the PolicyIndex
-# tests, and the first use of the EC comb table from four threads (in a
-# process of its own, so the table is cold when they start). `fuzz`
+# tests, the first use of the EC comb table from four threads (in a
+# process of its own, so the table is cold when they start), and two
+# sharded scenario files through cia_scenario — the alert storm and the
+# churn campaign with mid-run resizes (live agent migration), so a pool
+# race shows up attributed to the campaign that hit it. `fuzz`
 # builds with ASan+UBSan combined and runs the bounded fuzz smoke: every
 # cia_fuzz target on its committed corpus with fixed seeds, plus the
 # fleet invariant checker — a crash, sanitizer abort, or contract
@@ -51,6 +54,10 @@ for san in "${sanitizers[@]}"; do
       echo "==> [$san] verifier pool (shard workers + COW policy swaps)"
       "$build_dir/tests/cia_tests" \
         --gtest_filter='PoolStressTest.*:PoolDeterminismTest.*:PoolFleetTest.*:PoolPolicyTest.*:PoolRingTest.*:PoolReshardTest.*:PolicyIndexTest.*'
+      echo "==> [$san] sharded scenarios (alert storm, churn with resizes)"
+      "$build_dir/tools/cia_scenario" run "$repo_root/scenarios/alert-storm.json"
+      "$build_dir/tools/cia_scenario" run \
+        "$repo_root/scenarios/churn-resize.json" --self-check
       ;;
     fuzz)
       # Fixed seeds keep the smoke deterministic; the iteration budget is
