@@ -16,8 +16,9 @@
 // runs only that part and gates both the hard §III-C ratios (delta push
 // must move <2% of the bytes and take <10% of the index-build time of a
 // full push), the push fan-out (a push plus its install round on 16
-// agents must cost <2x the same on one agent) and drift against the
-// checked-in baseline.
+// agents must cost <2x the same on one agent), the policy digest (the
+// streamed digest must equal SHA-256 of the dumped JSON tree and cost
+// <0.5x of it) and drift against the checked-in baseline.
 //
 // CIA_BENCH_POOL_AGENTS / CIA_BENCH_POOL_ROUNDS override the fleet
 // shape; CIA_BENCH_POLICY_ENTRIES / CIA_BENCH_POLICY_DELTA_LINES the
@@ -328,6 +329,10 @@ ResizeBenchResult bench_resize(std::size_t from, std::size_t to,
 // plus the install run_round() end to end on a 16-agent fleet against a
 // 1-agent fleet. With one shared revision per push it stays near 1; a
 // per-agent policy copy makes it grow with the fleet.
+//
+// `digest` times policy_digest of the target against the tree-then-hash
+// shape it replaced; apply() pays two policy digests and diff() two, so
+// this is most of a daily update's ingestion cost.
 
 struct DeltaBenchResult {
   std::size_t base_entries = 0;
@@ -342,8 +347,14 @@ struct DeltaBenchResult {
   /// paid once per update at the orchestrator, not per shard push, and
   /// digest-binding is the point of the subsystem.
   double apply_verify_ms = 0;
+  /// Best policy_digest of the target (streamed canonical bytes) and
+  /// best SHA-256 of the same bytes built as a JSON tree and dumped —
+  /// the digest's cost before streaming, and its oracle.
+  double digest_ms = 0;
+  double dom_digest_ms = 0;
   double bytes_ratio = 0;
   double build_ratio = 0;
+  double digest_ratio = 0;
   /// Best push_revision + install run_round() wall time on a 1-agent and
   /// a kFanoutAgents-agent fleet, and their quotient.
   double push_install_1_ms = 0;
@@ -468,6 +479,26 @@ DeltaBenchResult bench_policy_delta(std::size_t entries, std::size_t reps) {
     return result;
   }
 
+  // The canonical digest, streamed, against the tree-then-hash oracle.
+  std::string digest, dom_digest;
+  result.digest_ms = result.dom_digest_ms = 1e300;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    auto start = std::chrono::steady_clock::now();
+    digest = policy_store::policy_digest(target);
+    result.digest_ms = std::min(result.digest_ms, wall_ms(start));
+    start = std::chrono::steady_clock::now();
+    dom_digest =
+        crypto::digest_hex(crypto::sha256(target.to_json().dump()));
+    result.dom_digest_ms = std::min(result.dom_digest_ms, wall_ms(start));
+  }
+  result.digest_ratio = result.digest_ms / result.dom_digest_ms;
+  if (digest != dom_digest || digest != delta.target_digest) {
+    std::printf("  !! DIVERGENCE: streamed digest %s, canonical JSON %s\n",
+                digest.c_str(), dom_digest.c_str());
+    result.diverged = true;
+    return result;
+  }
+
   const auto base_index = PolicyIndex::build(base, 1);
   std::shared_ptr<const PolicyIndex> full_index, incr_index;
   result.full_build_ms = 1e300;
@@ -567,6 +598,7 @@ json::Value delta_bench_to_json(const DeltaBenchResult& r) {
   delta.set("bytes", static_cast<std::int64_t>(r.delta_bytes));
   delta.set("incremental_build_ms", r.delta_push_ms);
   delta.set("apply_verify_ms", r.apply_verify_ms);
+  delta.set("digest_ms", r.digest_ms);
   doc.set("delta_push", std::move(delta));
   json::Value fanout;
   fanout.set("agents", static_cast<std::int64_t>(kFanoutAgents));
@@ -577,6 +609,7 @@ json::Value delta_bench_to_json(const DeltaBenchResult& r) {
   ratios.set("bytes", r.bytes_ratio);
   ratios.set("build_ms", r.build_ratio);
   ratios.set("fanout", r.fanout);
+  ratios.set("digest", r.digest_ratio);
   doc.set("ratios", std::move(ratios));
   return doc;
 }
@@ -594,8 +627,11 @@ void print_delta_bench(const DeltaBenchResult& r) {
   std::printf("  ratio        %10.2f%%    %7.2f%%\n", r.bytes_ratio * 100,
               r.build_ratio * 100);
   std::printf("  (one-time delta ingestion, apply + both provenance digests:"
-              " %.1fms)\n\n",
+              " %.1fms)\n",
               r.apply_verify_ms);
+  std::printf("  policy digest: streamed %.1fms, JSON tree + dump + hash"
+              " %.1fms (%.2fx)\n\n",
+              r.digest_ms, r.dom_digest_ms, r.digest_ratio);
   std::printf("  push + install round   1 agent %8.1fms   %zu agents %8.1fms"
               "   fanout %.2fx\n\n",
               r.push_install_1_ms, kFanoutAgents, r.push_install_n_ms,
@@ -620,6 +656,7 @@ int run_policy_check(const std::string& baseline_path, double tolerance,
   gate("bytes ratio", r.bytes_ratio, 0.02);
   gate("index-build ratio", r.build_ratio, 0.10);
   gate("push fan-out", r.fanout, 2.0);
+  gate("digest ratio", r.digest_ratio, 0.5);
 
   std::ifstream in(baseline_path);
   if (!in) {

@@ -149,10 +149,44 @@ bool Value::operator==(const Value& other) const {
   return false;
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
+namespace {
+
+// True when any byte of `w` is below 0x20, '"' or '\\' (the classic
+// has-less-than and has-zero-byte tests, exact for presence), so clean
+// runs are skipped eight bytes at a time.
+bool word_needs_escape(std::uint64_t w) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+  const std::uint64_t quote = w ^ (kOnes * '"');
+  const std::uint64_t backslash = w ^ (kOnes * '\\');
+  return ((((w - kOnes * 0x20) & ~w) | ((quote - kOnes) & ~quote) |
+           ((backslash - kOnes) & ~backslash)) &
+          kHigh) != 0;
+}
+
+}  // namespace
+
+void escape(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  const char* run = p;
+  while (p != end) {
+    if (end - p >= 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, p, sizeof word);
+      if (!word_needs_escape(word)) {
+        p += sizeof word;
+        continue;
+      }
+    }
+    const auto c = static_cast<unsigned char>(*p);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      ++p;
+      continue;
+    }
+    out.append(run, static_cast<std::size_t>(p - run));
+    run = ++p;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -161,14 +195,19 @@ std::string escape(const std::string& s) {
       case '\t': out += "\\t"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strformat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(u, sizeof u);
+      }
     }
   }
+  out.append(run, static_cast<std::size_t>(end - run));
+}
+
+std::string escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  escape(out, s);
   return out;
 }
 
@@ -195,7 +234,9 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
       break;
     }
     case Type::kString:
-      out += "\"" + escape(string_) + "\"";
+      out += '"';
+      escape(out, string_);
+      out += '"';
       break;
     case Type::kArray: {
       if (array_->empty()) {
@@ -222,7 +263,10 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
       out += nl;
       std::size_t i = 0;
       for (const auto& [key, value] : *object_) {
-        out += pad + "\"" + escape(key) + "\":";
+        out += pad;
+        out += '"';
+        escape(out, key);
+        out += "\":";
         if (indent >= 0) out += " ";
         value.dump_to(out, indent, depth + 1);
         if (++i < object_->size()) out += ",";

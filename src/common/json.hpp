@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.hpp"
@@ -99,7 +100,13 @@ class Value {
 /// trailing garbage.
 Result<Value> parse(const std::string& text);
 
-/// Escape a string per JSON rules (used by dump(); exposed for tests).
+/// Append `s` to `out`, escaped per JSON rules, without quotes: `"`,
+/// `\` and bytes below 0x20 are escaped; every other byte (0x7f and
+/// bytes >= 0x80 included) is copied as is, in bulk runs. The one
+/// escaper behind dump() and RuntimePolicy's streamed canonical form.
+void escape(std::string& out, std::string_view s);
+
+/// Escape a string per JSON rules into a fresh string.
 std::string escape(const std::string& s);
 
 }  // namespace cia::json

@@ -26,6 +26,19 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep) 
   return out;
 }
 
+std::optional<std::uint64_t> parse_decimal(std::string_view text,
+                                           std::uint64_t max) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (digit > max || value > (max - digit) / 10) return std::nullopt;
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
 bool starts_with(const std::string& s, const std::string& prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
 }

@@ -1,7 +1,10 @@
 // Small string helpers shared across modules.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cia {
@@ -18,6 +21,13 @@ bool ends_with(const std::string& s, const std::string& suffix);
 /// Simple glob match supporting '*' (any run, including '/') and '?'.
 /// Keylime exclude lists use these wildcards.
 bool glob_match(const std::string& pattern, const std::string& text);
+
+/// A non-empty run of decimal digits (no sign, space or base prefix)
+/// whose value is at most `max`; empty on anything else. The parser
+/// behind every numeric command-line flag, so "abc" or an overflowing
+/// value is an error rather than a silent 0.
+std::optional<std::uint64_t> parse_decimal(std::string_view text,
+                                           std::uint64_t max);
 
 /// printf-style formatting into a std::string.
 std::string strformat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -356,7 +356,7 @@ Digest pcr_fold(const Digest& acc, const Digest& t) {
 //    single-stream pass over the same block count, so aliasing beats
 //    falling back as soon as two real lanes are present — and ties when
 //    there is one),
-//  - longer single-segment pairs (policy digests) stream through the
+//  - longer single-segment pairs stream through the
 //    2-lane SHA-NI kernel directly from the source bytes for their
 //    common full blocks, finishing tails per lane,
 //  - everything else (long two-segment messages, non-lane backends)

@@ -39,30 +39,12 @@ Status check_hashes(const std::vector<std::string>& hashes,
 }  // namespace
 
 std::string policy_digest(const RuntimePolicy& policy) {
-  return crypto::digest_hex(crypto::sha256(policy.to_json().dump()));
+  crypto::Sha256 ctx;
+  policy.write_canonical_json([&ctx](std::string_view chunk) {
+    ctx.update(chunk);
+  });
+  return crypto::digest_hex(ctx.finish());
 }
-
-namespace {
-
-// Digest two policies as one sha256_batch call: the canonical dumps are
-// long single-segment messages, exactly the pair shape the 2-lane
-// SHA-NI kernel streams side by side without copying. diff() is the one
-// place that needs two policy digests at the same time.
-std::pair<std::string, std::string> policy_digest_pair(
-    const RuntimePolicy& a, const RuntimePolicy& b) {
-  const std::string da = a.to_json().dump();
-  const std::string db = b.to_json().dump();
-  crypto::HashInput in[2];
-  in[0].a = reinterpret_cast<const std::uint8_t*>(da.data());
-  in[0].a_len = da.size();
-  in[1].a = reinterpret_cast<const std::uint8_t*>(db.data());
-  in[1].a_len = db.size();
-  crypto::Digest out[2];
-  crypto::sha256_batch(in, 2, out);
-  return {crypto::digest_hex(out[0]), crypto::digest_hex(out[1])};
-}
-
-}  // namespace
 
 const char* delta_op_name(DeltaEntry::Op op) {
   switch (op) {
@@ -228,8 +210,8 @@ Result<PolicyDelta> PolicyDelta::parse(const std::string& text) {
 
 PolicyDelta diff(const RuntimePolicy& base, const RuntimePolicy& target) {
   PolicyDelta delta;
-  std::tie(delta.base_digest, delta.target_digest) =
-      policy_digest_pair(base, target);
+  delta.base_digest = policy_digest(base);
+  delta.target_digest = policy_digest(target);
 
   // Both visit in sorted path order (the allow map is ordered), so one
   // merge walk over snapshots yields the patch already canonically

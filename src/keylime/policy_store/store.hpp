@@ -6,9 +6,10 @@
 // base, yet shipping the full policy and re-indexing it per push costs
 // as if every update were a bootstrap. Here a revision is identified by
 // the SHA-256 of its canonical JSON form (RuntimePolicy::to_json() over
-// the ordered path map — deterministic by construction), and an update
-// travels as a PolicyDelta: the base revision's digest, the target's,
-// and the add/remove/replace entry patch between them.
+// the ordered path map — deterministic by construction, and streamed
+// into the hash without building the tree), and an update travels as a
+// PolicyDelta: the base revision's digest, the target's, and the
+// add/remove/replace entry patch between them.
 //
 // The digest binding implements the Ozga et al. "verify the update
 // before the node does" semantics: apply() refuses a delta whose base
@@ -34,6 +35,8 @@ namespace cia::keylime::policy_store {
 
 /// The content address of a policy: lowercase-hex SHA-256 of the
 /// canonical JSON form (to_json().dump() — sorted paths, sorted keys).
+/// The bytes are streamed from RuntimePolicy::write_canonical_json into
+/// one SHA-256 context, so no JSON tree or full dump is ever built.
 std::string policy_digest(const RuntimePolicy& policy);
 
 /// One patched path. kAdd introduces a path absent from the base,

@@ -145,23 +145,94 @@ Result<RuntimePolicy> RuntimePolicy::parse(const std::string& text) {
   return policy;
 }
 
+namespace {
+
+// The canonical form's field names, shared by to_json() and
+// write_canonical_json(). The DOM sorts object keys; the writer emits
+// them in that order by hand, so the order is pinned here.
+constexpr char kDigestsField[] = "digests";
+constexpr char kExcludesField[] = "excludes";
+constexpr char kMetaField[] = "meta";
+constexpr char kGeneratorField[] = "generator";
+constexpr char kVersionField[] = "version";
+constexpr char kGenerator[] = "cia-dynamic-policy-generator";
+constexpr int kFormatVersion = 1;
+static_assert(std::string_view(kDigestsField) < kExcludesField &&
+              std::string_view(kExcludesField) < kMetaField);
+static_assert(std::string_view(kGeneratorField) < kVersionField);
+
+}  // namespace
+
 json::Value RuntimePolicy::to_json() const {
   json::Value doc;
   json::Value meta;
-  meta.set("version", 1);
-  meta.set("generator", "cia-dynamic-policy-generator");
-  doc.set("meta", std::move(meta));
+  meta.set(kVersionField, kFormatVersion);
+  meta.set(kGeneratorField, kGenerator);
+  doc.set(kMetaField, std::move(meta));
   json::Value digests{json::Object{}};
   for (const auto& [path, hashes] : allow_) {
     json::Value list{json::Array{}};
     for (const auto& h : hashes) list.push_back(h);
     digests.set(path, std::move(list));
   }
-  doc.set("digests", std::move(digests));
+  doc.set(kDigestsField, std::move(digests));
   json::Value excludes{json::Array{}};
   for (const auto& glob : excludes_) excludes.push_back(glob);
-  doc.set("excludes", std::move(excludes));
+  doc.set(kExcludesField, std::move(excludes));
   return doc;
+}
+
+void RuntimePolicy::write_canonical_json(
+    const std::function<void(std::string_view)>& sink) const {
+  std::string buf;
+  buf.reserve(kCanonicalChunkBytes + 1024);
+  // The buffer is handed on once it holds a chunk, checked after every
+  // string, so it outgrows its reserve by at most one escaped string.
+  const auto str = [&](std::string_view s) {
+    buf += '"';
+    json::escape(buf, s);
+    buf += '"';
+    if (buf.size() >= kCanonicalChunkBytes) {
+      sink(buf);
+      buf.clear();
+    }
+  };
+  const auto key = [&](std::string_view k) {
+    str(k);
+    buf += ':';
+  };
+  const auto list = [&](const std::vector<std::string>& items) {
+    buf += '[';
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i > 0) buf += ',';
+      str(items[i]);
+    }
+    buf += ']';
+  };
+
+  buf += '{';
+  key(kDigestsField);
+  buf += '{';
+  bool first = true;
+  for (const auto& [path, hashes] : allow_) {
+    if (!first) buf += ',';
+    first = false;
+    key(path);
+    list(hashes);
+  }
+  buf += "},";
+  key(kExcludesField);
+  list(excludes_);
+  buf += ',';
+  key(kMetaField);
+  buf += '{';
+  key(kGeneratorField);
+  str(kGenerator);
+  buf += ',';
+  key(kVersionField);
+  buf += std::to_string(kFormatVersion);
+  buf += "}}";
+  sink(buf);
 }
 
 Result<RuntimePolicy> RuntimePolicy::from_json(const json::Value& doc) {
@@ -169,7 +240,7 @@ Result<RuntimePolicy> RuntimePolicy::from_json(const json::Value& doc) {
   if (!doc.is_object()) {
     return err(Errc::kCorrupted, "policy document is not an object");
   }
-  if (const json::Value* excludes = doc.find("excludes")) {
+  if (const json::Value* excludes = doc.find(kExcludesField)) {
     if (!excludes->is_array()) {
       return err(Errc::kCorrupted, "excludes is not an array");
     }
@@ -180,7 +251,7 @@ Result<RuntimePolicy> RuntimePolicy::from_json(const json::Value& doc) {
       policy.exclude(glob.as_string());
     }
   }
-  const json::Value* digests = doc.find("digests");
+  const json::Value* digests = doc.find(kDigestsField);
   if (!digests || !digests->is_object()) {
     return err(Errc::kCorrupted, "missing digests object");
   }

@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -72,11 +73,22 @@ class RuntimePolicy {
   std::string serialize() const;
   static Result<RuntimePolicy> parse(const std::string& text);
 
-  /// Keylime-style JSON runtime policy:
-  ///   {"meta":{"version":1},
-  ///    "digests":{"/path":["<hex>", ...], ...},
-  ///    "excludes":["glob", ...]}
+  /// Keylime-style JSON runtime policy. Its compact dump() is the
+  /// canonical form (paths and keys sorted):
+  ///   {"digests":{"/path":["<hex>", ...], ...},
+  ///    "excludes":["glob", ...],
+  ///    "meta":{"generator":"...","version":1}}
   json::Value to_json() const;
+
+  /// Write the canonical form, byte-identical to to_json().dump(),
+  /// without building the JSON tree: the bytes reach `sink` in order, in
+  /// chunks of about kCanonicalChunkBytes from one reused buffer, so the
+  /// writer allocates nothing in proportion to the policy. This is what
+  /// policy_store::policy_digest hashes.
+  void write_canonical_json(
+      const std::function<void(std::string_view chunk)>& sink) const;
+  static constexpr std::size_t kCanonicalChunkBytes = 64 * 1024;
+
   static Result<RuntimePolicy> from_json(const json::Value& doc);
 
   /// Union with another policy (their hashes appended after ours).

@@ -263,7 +263,7 @@ ChaosSection read_chaos(const json::Value& v, Error* error) {
   ObjectReader r(v, "$.chaos", error);
   chaos.script = r.string("script", chaos.script);
   chaos.nodes = r.integer("nodes", chaos.nodes, 1, 64);
-  chaos.days = r.integer("days", chaos.days, 2, 366);
+  chaos.days = r.integer("days", chaos.days, 2, kMaxDays);
   chaos.retrying_transport =
       r.boolean("retrying_transport", chaos.retrying_transport);
   chaos.base_packages = r.integer("base_packages", chaos.base_packages, 1, 100000);
@@ -616,6 +616,10 @@ json::Value Scenario::to_json() const {
     }
   }
   return doc;
+}
+
+std::optional<std::uint64_t> parse_seed(std::string_view text) {
+  return parse_decimal(text, static_cast<std::uint64_t>(kMaxExactInt));
 }
 
 Result<Scenario> load_file(const std::string& path) {

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -133,6 +134,13 @@ struct AttacksSection {
 /// The largest integer a JSON number holds exactly (2^53): the upper
 /// bound of `seed` and of every other unbounded integer field.
 constexpr std::int64_t kMaxExactInt = 9007199254740992;
+
+/// The longest run a `days` field (or a --days flag) may ask for.
+constexpr std::int64_t kMaxDays = 366;
+
+/// A --seed flag as the file's `seed` field accepts it: decimal digits
+/// only, at most 2^53. Empty when the text is anything else.
+std::optional<std::uint64_t> parse_seed(std::string_view text);
 
 struct Scenario {
   std::int64_t version = 1;

@@ -5,6 +5,7 @@
 #include "common/hex.hpp"
 #include "common/json.hpp"
 #include "crypto/cert.hpp"
+#include "crypto/sha256.hpp"
 #include "ima/ima.hpp"
 #include "keylime/agent.hpp"
 #include "keylime/alert_pipeline/incident.hpp"
@@ -88,6 +89,13 @@ FuzzOutcome run_runtime_policy(const Bytes& input) {
   }
   if (from_json.value().serialize() != canonical) {
     return FuzzOutcome::violation("JSON round trip diverged from text form");
+  }
+  // The streamed digest must hash exactly the DOM's canonical bytes;
+  // parse() admits arbitrary path bytes, so every escape branch shows.
+  if (keylime::policy_store::policy_digest(policy) !=
+      crypto::digest_hex(crypto::sha256(policy.to_json().dump()))) {
+    return FuzzOutcome::violation(
+        "streamed policy digest diverged from the canonical JSON");
   }
   return FuzzOutcome::accepted();
 }

@@ -166,6 +166,21 @@ TEST(StrutilTest, Format) {
   EXPECT_EQ(strformat("%s=%d", "x", 42), "x=42");
 }
 
+TEST(StrutilTest, ParseDecimalAcceptsDigitsUpToTheBound) {
+  EXPECT_EQ(parse_decimal("0", 5), 0u);
+  EXPECT_EQ(parse_decimal("366", 366), 366u);
+  EXPECT_EQ(parse_decimal("007", 366), 7u);
+  EXPECT_EQ(parse_decimal("18446744073709551615", UINT64_MAX), UINT64_MAX);
+  for (const char* bad : {"", "abc", "-5", "+5", " 5", "5 ", "0x10", "1e3",
+                          "3.0", "12a"}) {
+    EXPECT_FALSE(parse_decimal(bad, 1000).has_value()) << bad;
+  }
+  EXPECT_FALSE(parse_decimal("367", 366).has_value());
+  EXPECT_FALSE(parse_decimal("9", 5).has_value());
+  EXPECT_FALSE(parse_decimal("18446744073709551616", UINT64_MAX).has_value());
+  EXPECT_FALSE(parse_decimal("99999999999999999999999", UINT64_MAX).has_value());
+}
+
 // ----------------------------------------------------------------- stats
 
 TEST(StatsTest, SummaryBasics) {

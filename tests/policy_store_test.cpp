@@ -365,6 +365,139 @@ TEST(PolicyDigestTest, ContentAddressed) {
   EXPECT_NE(ps::policy_digest(a), ps::policy_digest(b));
 }
 
+// policy_digest streams the canonical bytes into SHA-256 without building
+// the JSON tree; the tree's dump() is the oracle it must match byte for
+// byte. Each case compares both the digests and the streamed bytes, so a
+// failure names the first diverging offset.
+std::string dom_digest(const RuntimePolicy& p) {
+  return crypto::digest_hex(crypto::sha256(p.to_json().dump()));
+}
+
+struct Streamed {
+  std::string bytes;
+  std::size_t chunks = 0;
+};
+
+Streamed stream_canonical(const RuntimePolicy& p) {
+  Streamed out;
+  p.write_canonical_json([&](std::string_view chunk) {
+    EXPECT_FALSE(chunk.empty());
+    out.bytes.append(chunk);
+    ++out.chunks;
+  });
+  return out;
+}
+
+void expect_streamed_equals_dom(const RuntimePolicy& p,
+                                const std::string& what) {
+  const std::string dom = p.to_json().dump();
+  const std::string streamed = stream_canonical(p).bytes;
+  if (streamed != dom) {
+    std::size_t at = 0;
+    while (at < dom.size() && at < streamed.size() && dom[at] == streamed[at])
+      ++at;
+    ADD_FAILURE() << what << ": streamed bytes diverge from dump() at offset "
+                  << at << " of " << dom.size();
+  }
+  EXPECT_EQ(ps::policy_digest(p), dom_digest(p)) << what;
+}
+
+TEST(PolicyDigestTest, StreamedDigestMatchesCanonicalJsonEdgeCases) {
+  expect_streamed_equals_dom(RuntimePolicy{}, "empty policy");
+
+  RuntimePolicy excludes_only;
+  excludes_only.exclude("/tmp/*");
+  excludes_only.exclude("*.pyc");
+  expect_streamed_equals_dom(excludes_only, "excludes only");
+
+  RuntimePolicy paths_only;
+  paths_only.allow("/usr/bin/a", hex_of("a"));
+  paths_only.allow("/usr/bin/a", hex_of("a2"));
+  paths_only.allow("/usr/bin/b", hex_of("b"));
+  expect_streamed_equals_dom(paths_only, "paths only");
+
+  // Every byte the escaper treats specially, in paths, hashes and globs.
+  RuntimePolicy hostile;
+  hostile.allow("/q\"uote", hex_of("quote"));
+  hostile.allow("/back\\slash\\", hex_of("backslash"));
+  for (int c = 0x00; c < 0x20; ++c) {
+    const std::string path = "/ctl/" + std::string(1, static_cast<char>(c)) +
+                             "x" + std::string(1, static_cast<char>(c));
+    hostile.allow(path, hex_of(path));
+  }
+  hostile.allow("/del/\x7f", hex_of("del"));
+  hostile.allow("/high/\x80\xc3\xa9\xfe\xff", hex_of("high"));
+  hostile.allow(std::string("/nul\0mid", 9), hex_of("nul"));
+  hostile.allow("", hex_of("empty path"));
+  hostile.exclude("/g\"lob\\\n*");
+  hostile.exclude(std::string(1, '\x1f'));
+  expect_streamed_equals_dom(hostile, "escape-heavy paths and globs");
+
+  // allow() takes any hash string; the canonical form escapes it like
+  // any other string.
+  RuntimePolicy odd_hashes;
+  odd_hashes.allow("/bin/upper", std::string(64, 'A'));
+  odd_hashes.allow("/bin/short", "abc");
+  odd_hashes.allow("/bin/empty", "");
+  odd_hashes.allow("/bin/escapes", "\"\\\t\x01\x7f\xff" + std::string(58, 'z'));
+  expect_streamed_equals_dom(odd_hashes, "hash strings that are not hex");
+}
+
+// A policy several write buffers long, with runs of six-byte \u00XX
+// escapes laid so that a buffer boundary (every kCanonicalChunkBytes of
+// output) falls at each offset inside an escape sequence across the
+// shifts, and a key longer than the buffer itself.
+TEST(PolicyDigestTest, StreamedDigestAcrossWriteBufferBoundaries) {
+  constexpr std::size_t kChunk = RuntimePolicy::kCanonicalChunkBytes;
+  for (std::size_t shift = 0; shift < 8; ++shift) {
+    RuntimePolicy p;
+    p.allow("/a" + std::string(shift, 's'), hex_of("shift"));
+    for (std::size_t i = 0; i < 700; ++i) {
+      p.allow(strformat("/b/fill-%04zu", i), hex_of(strformat("f%zu", i)));
+    }
+    p.allow("/c/" + std::string(4000, '\x01'), hex_of("escapes"));
+    p.allow("/d/" + std::string(kChunk + 17, '\x02'), hex_of("long key"));
+    for (std::size_t i = 0; i < 900; ++i) {
+      p.allow(strformat("/e/%04zu-\x03\"\\", i), hex_of(strformat("e%zu", i)));
+    }
+    const std::string dom = p.to_json().dump();
+    ASSERT_GT(dom.size(), 3 * kChunk);
+    // The first buffer boundary lands inside the /c/ escape run.
+    const std::size_t run = dom.find("/c/");
+    ASSERT_LT(run, kChunk);
+    ASSERT_GT(run + 3 + 6 * 4000, kChunk) << "shift " << shift;
+    const Streamed streamed = stream_canonical(p);
+    EXPECT_GE(streamed.chunks, 3u) << "shift " << shift;
+    EXPECT_TRUE(streamed.bytes == dom) << "shift " << shift;
+    EXPECT_EQ(ps::policy_digest(p), dom_digest(p)) << "shift " << shift;
+  }
+}
+
+TEST(PolicyDigestTest, StreamedDigestMatchesCanonicalJsonAcrossSeeds) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed * 7919 + 3);
+    const RuntimePolicy p = testkit::gen_policy(rng, 96);
+    expect_streamed_equals_dom(p, strformat("seed %llu",
+                                            static_cast<unsigned long long>(seed)));
+  }
+}
+
+// One literal digest, recorded when the digest was still computed from
+// the JSON tree: guards against the tree's dump() (the oracle above)
+// drifting together with the streamed writer.
+TEST(PolicyDigestTest, PinnedDigestOfAFixedPolicy) {
+  RuntimePolicy p;
+  p.allow("/usr/bin/bash", hex_of("bash"));
+  p.allow("/usr/bin/bash", hex_of("bash-2"));
+  p.allow("/usr/lib/x86_64-linux-gnu/libc.so.6", hex_of("libc"));
+  p.allow("/usr/share/we\"ird\\dir/\x01\x1f\x7f\xc3\xa9", hex_of("weird"));
+  p.allow("/tmp/tab\there", std::string(64, 'F'));
+  p.exclude("/tmp/*");
+  p.exclude("*.pyc");
+  EXPECT_EQ(ps::policy_digest(p),
+            "6682f1030dfc0f98562ef8fd74e1334b76b19ca300dc4d18eb210c57317a5d5f");
+}
+
 // ------------------------------------------------ strict-decode rejections
 
 ps::PolicyDelta sample_delta() {

@@ -30,7 +30,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,21 +55,6 @@ bool write_file(const std::string& path, const std::string& content) {
   return true;
 }
 
-/// A --seed value as the file's `seed` field accepts it: decimal digits
-/// only, at most 2^53. Empty when the text is anything else.
-std::optional<std::uint64_t> parse_seed(const char* text) {
-  if (*text == '\0') return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return std::nullopt;
-    value = value * 10 + static_cast<std::uint64_t>(*p - '0');
-    if (value > static_cast<std::uint64_t>(scenario::kMaxExactInt)) {
-      return std::nullopt;
-    }
-  }
-  return value;
-}
-
 int cmd_run(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr, "usage: cia_scenario run FILE [--seed S] "
@@ -92,7 +76,7 @@ int cmd_run(int argc, char** argv) {
     };
     if (arg == "--seed") {
       const char* text = next();
-      options.seed = parse_seed(text);
+      options.seed = scenario::parse_seed(text);
       if (!options.seed) {
         std::fprintf(stderr,
                      "bad value for --seed: \"%s\" (decimal digits, at "

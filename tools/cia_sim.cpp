@@ -27,8 +27,10 @@
 #include <string>
 
 #include "common/log.hpp"
+#include "common/strutil.hpp"
 #include "experiments/fleet_experiment.hpp"
 #include "experiments/report.hpp"
+#include "scenario/scenario.hpp"
 
 namespace {
 
@@ -42,6 +44,13 @@ struct Args {
   bool inject_race = false;
 };
 
+[[noreturn]] void bad_value(const std::string& flag, const char* text,
+                            const char* accepted) {
+  std::fprintf(stderr, "bad value for %s: \"%s\" (%s)\n", flag.c_str(), text,
+               accepted);
+  std::exit(2);
+}
+
 Args parse_args(int argc, char** argv, int first) {
   Args args;
   for (int i = first; i < argc; ++i) {
@@ -54,11 +63,21 @@ Args parse_args(int argc, char** argv, int first) {
       return argv[++i];
     };
     if (arg == "--days") {
-      args.days = std::atoi(next());
+      const char* text = next();
+      const auto days = parse_decimal(
+          text, static_cast<std::uint64_t>(scenario::kMaxDays));
+      if (!days || *days == 0) bad_value(arg, text, "1 to 366");
+      args.days = static_cast<int>(*days);
     } else if (arg == "--seed") {
-      args.seed = static_cast<std::uint64_t>(std::strtoull(next(), nullptr, 10));
+      const char* text = next();
+      const auto seed = scenario::parse_seed(text);
+      if (!seed) bad_value(arg, text, "decimal digits, at most 2^53");
+      args.seed = *seed;
     } else if (arg == "--period") {
       args.period = next();
+      if (args.period != "daily" && args.period != "weekly") {
+        bad_value(arg, args.period.c_str(), "daily or weekly");
+      }
     } else if (arg == "--inject-race") {
       args.inject_race = true;
     } else {
