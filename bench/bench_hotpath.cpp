@@ -12,8 +12,9 @@
 //                sha256_batch → compare → fused pcr_fold)
 //                vs the old two-loop shape: a fresh scalar Sha256 and a
 //                digest_bytes() heap copy per record
-//   policy_probe PolicyIndex + AppraisalCache verdict lookup vs
-//                digest_hex() + RuntimePolicy::check per record
+//   policy_probe PolicyIndex::appraise (one template-hash probe for an
+//                allowed entry) vs digest_hex() + RuntimePolicy::check
+//                per record
 //   end_to_end   all of the above chained, one appraisal round
 //
 // The legacy side reproduces the pre-rebuild implementation faithfully,
@@ -51,7 +52,6 @@
 #include "crypto/schnorr.hpp"
 #include "crypto/sha256.hpp"
 #include "ima/ima.hpp"
-#include "keylime/appraisal_cache.hpp"
 #include "keylime/audit.hpp"
 #include "keylime/messages.hpp"
 #include "keylime/policy_index.hpp"
@@ -149,7 +149,7 @@ class ScalarSha256 {
 // ---------------------------------------------------------------------
 // Workload: one appraisal round's worth of log entries. Paths repeat
 // (a fleet of machines built from the same image re-measures the same
-// binaries), which is exactly the redundancy the verdict cache exploits.
+// binaries).
 // The probe mix mirrors bench_pool: overwhelmingly policy hits, a few
 // stale hashes, a sprinkle of unknown and excluded paths.
 
@@ -380,21 +380,14 @@ StageResult bench_policy_probe(const Workload& w, std::size_t reps) {
   StageResult r;
   r.fast_ms = r.legacy_ms = 1e300;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    // Fast: verdict cache keyed on (template_hash, index uid), cold at
-    // the start of every rep; misses fall through to the PolicyIndex.
-    keylime::AppraisalCache cache;
-    const std::uint64_t uid = w.index->uid();
+    // Fast: PolicyIndex::appraise, as Verifier::appraise calls it — one
+    // template-hash probe for an allowed entry, the path table behind it.
     auto start = std::chrono::steady_clock::now();
     std::uint64_t sum = 0;
     for (const ima::LogEntry& e : w.log) {
-      keylime::PolicyMatch verdict;
-      if (const auto cached = cache.lookup(e.template_hash, uid)) {
-        verdict = *cached;
-      } else {
-        bool known = false;
-        verdict = w.index->check(e.path, e.file_hash, &known);
-        cache.insert(e.template_hash, uid, verdict);
-      }
+      bool known = false;
+      const keylime::PolicyMatch verdict =
+          w.index->appraise(e.path, e.file_hash, e.template_hash, &known);
       sum = sum * 31 + static_cast<std::uint64_t>(verdict);
     }
     r.fast_ms = std::min(r.fast_ms, wall_ms(start));
@@ -418,10 +411,9 @@ StageResult bench_end_to_end(const Workload& w, std::size_t reps) {
   StageResult r;
   r.fast_ms = r.legacy_ms = 1e300;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    // Fast: decode views, fused verify+fold, cached indexed appraisal —
-    // the round shape Verifier::attest_once runs now.
-    keylime::AppraisalCache cache;
-    const std::uint64_t uid = w.index->uid();
+    // Fast: decode views, fused verify+fold, PolicyIndex::appraise on
+    // the recomputed template hash — the round shape
+    // Verifier::attest_once runs now.
     constexpr std::size_t kBlock = 128;
     crypto::HashInput inputs[kBlock];
     crypto::Digest computed[kBlock];
@@ -443,14 +435,9 @@ StageResult bench_end_to_end(const Workload& w, std::size_t reps) {
         for (std::size_t i = 0; i < count; ++i) {
           const keylime::LogEntryView& e = entries[base + i];
           if (computed[i] != e.template_hash) ++sum;
-          keylime::PolicyMatch verdict;
-          if (const auto cached = cache.lookup(computed[i], uid)) {
-            verdict = *cached;
-          } else {
-            bool known = false;
-            verdict = w.index->check(e.path, e.file_hash, &known);
-            cache.insert(computed[i], uid, verdict);
-          }
+          bool known = false;
+          const keylime::PolicyMatch verdict =
+              w.index->appraise(e.path, e.file_hash, computed[i], &known);
           sum = sum * 31 + static_cast<std::uint64_t>(verdict);
         }
         for (std::size_t i = 0; i < count; ++i) {

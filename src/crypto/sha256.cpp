@@ -356,10 +356,7 @@ Digest pcr_fold(const Digest& acc, const Digest& t) {
 //    single-stream pass over the same block count, so aliasing beats
 //    falling back as soon as two real lanes are present — and ties when
 //    there is one),
-//  - longer single-segment pairs stream through the
-//    2-lane SHA-NI kernel directly from the source bytes for their
-//    common full blocks, finishing tails per lane,
-//  - everything else (long two-segment messages, non-lane backends)
+//  - everything longer, and every message on a non-lane backend,
 //    takes the retained single-stream loop.
 //
 // Every route computes real SHA-256, so digests are identical no matter
@@ -406,29 +403,6 @@ void hash_one(const HashInput& in, Digest& out) {
 
 #if CIA_SHA256_X86
 
-// Finish one lane after a multi-lane body pass: any remaining full
-// blocks, then the padded tail, from a state mid-stream.
-void finish_lane(std::uint32_t state[8], const std::uint8_t* rest,
-                 std::size_t rest_len, std::uint64_t total_len, Digest& out) {
-  const std::size_t blocks = rest_len / 64;
-  if (blocks > 0) {
-    detail::sha256_compress(state, rest, blocks);
-    rest += blocks * 64;
-    rest_len -= blocks * 64;
-  }
-  std::uint8_t buf[128];
-  std::memcpy(buf, rest, rest_len);
-  buf[rest_len] = 0x80;
-  const std::size_t padded = rest_len + 9 <= 64 ? 64 : 128;
-  std::memset(buf + rest_len + 1, 0, padded - rest_len - 1 - 8);
-  const std::uint64_t bit_len = total_len * 8;
-  for (int i = 0; i < 8; ++i) {
-    buf[padded - 8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  detail::sha256_compress(state, buf, padded / 64);
-  serialize_state(state, out);
-}
-
 void run_group_x2(const HashInput* in, Digest* out, const std::size_t idx[2],
                   std::size_t blocks) {
   alignas(64) std::uint8_t lanes[2][kMaxLaneBlocks * 64];
@@ -455,35 +429,10 @@ void run_group_x8(const HashInput* in, Digest* out, const std::size_t idx[8],
   for (int l = 0; l < 8; ++l) serialize_state(st[l], out[idx[l]]);
 }
 
-// Two long single-segment messages side by side: the 2-lane kernel
-// reads their common full blocks straight from the source (no copy),
-// then each lane finishes its own remainder.
-void run_long_x2(const HashInput* in, Digest* out, const std::size_t idx[2]) {
-  const std::uint8_t* p[2];
-  std::size_t len[2];
-  for (int l = 0; l < 2; ++l) {
-    const HashInput& m = in[idx[l]];
-    p[l] = m.a_len > 0 ? m.a : m.b;
-    len[l] = m.a_len > 0 ? m.a_len : m.b_len;
-  }
-  const std::size_t common = std::min(len[0] / 64, len[1] / 64);
-  std::uint32_t st[2][8];
-  std::memcpy(st[0], kSha256Init, sizeof(st[0]));
-  std::memcpy(st[1], kSha256Init, sizeof(st[1]));
-  if (common > 0) detail::sha256_ni_x2(st, p[0], p[1], common);
-  for (int l = 0; l < 2; ++l) {
-    finish_lane(st[l], p[l] + common * 64, len[l] - common * 64, len[l],
-                out[idx[l]]);
-  }
-}
-
 template <std::size_t W>
-void batch_lanes(const HashInput* in, std::size_t n, Digest* out,
-                 bool pair_long) {
+void batch_lanes(const HashInput* in, std::size_t n, Digest* out) {
   std::size_t pend[kMaxLaneBlocks + 1][W];
   std::size_t pend_n[kMaxLaneBlocks + 1] = {};
-  std::size_t long_pend[2];
-  std::size_t long_n = 0;
 
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t blocks = padded_blocks(in[i]);
@@ -494,12 +443,6 @@ void batch_lanes(const HashInput* in, std::size_t n, Digest* out,
         if constexpr (W == 2) run_group_x2(in, out, pend[blocks], blocks);
         else run_group_x8(in, out, pend[blocks], blocks);
         c = 0;
-      }
-    } else if (pair_long && (in[i].a_len == 0 || in[i].b_len == 0)) {
-      long_pend[long_n++] = i;
-      if (long_n == 2) {
-        run_long_x2(in, out, long_pend);
-        long_n = 0;
       }
     } else {
       hash_one(in[i], out[i]);
@@ -516,10 +459,6 @@ void batch_lanes(const HashInput* in, std::size_t n, Digest* out,
     if constexpr (W == 2) run_group_x2(in, out, pend[blocks], blocks);
     else run_group_x8(in, out, pend[blocks], blocks);
   }
-  if (long_n == 1) {
-    long_pend[1] = long_pend[0];
-    run_long_x2(in, out, long_pend);
-  }
 }
 
 #endif  // CIA_SHA256_X86
@@ -531,11 +470,11 @@ void sha256_batch(const HashInput* in, std::size_t n, Digest* out) {
 #if CIA_SHA256_X86
   const Sha256Backend backend = resolve_backend();
   if (backend == Sha256Backend::kShaNi2 && kHaveShaNi) {
-    batch_lanes<2>(in, n, out, /*pair_long=*/true);
+    batch_lanes<2>(in, n, out);
     return;
   }
   if (backend == Sha256Backend::kAvx2 && kHaveAvx2) {
-    batch_lanes<8>(in, n, out, /*pair_long=*/kHaveShaNi);
+    batch_lanes<8>(in, n, out);
     return;
   }
 #endif
@@ -562,6 +501,46 @@ std::string digest_hex(const Digest& d) {
     out.push_back(kHex[b & 0x0f]);
   }
   return out;
+}
+
+namespace {
+
+// The nibble each lowercase hex digit stands for; kNotNibble for every
+// other byte. Table lookups instead of range compares: hex digits of a
+// digest are random, so a compare per character mispredicts often, and
+// an index build decodes one digest per policy line.
+constexpr std::uint8_t kNotNibble = 0x10;
+constexpr std::array<std::uint8_t, 256> kLowerHexNibble = [] {
+  std::array<std::uint8_t, 256> table{};
+  for (auto& v : table) v = kNotNibble;
+  for (int c = '0'; c <= '9'; ++c) table[c] = static_cast<std::uint8_t>(c - '0');
+  for (int c = 'a'; c <= 'f'; ++c) {
+    table[c] = static_cast<std::uint8_t>(c - 'a' + 10);
+  }
+  return table;
+}();
+
+std::uint8_t nibble(char c) {
+  return kLowerHexNibble[static_cast<unsigned char>(c)];
+}
+
+}  // namespace
+
+bool digest_from_hex(std::string_view hex, Digest& out) {
+  if (hex.size() != 2 * kSha256Size) return false;
+  std::uint8_t seen = 0;
+  for (std::size_t i = 0; i < kSha256Size; ++i) {
+    const std::uint8_t hi = nibble(hex[2 * i]);
+    const std::uint8_t lo = nibble(hex[2 * i + 1]);
+    seen |= hi | lo;
+    out[i] = static_cast<std::uint8_t>((hi << 4) | (lo & 0x0f));
+  }
+  return (seen & kNotNibble) == 0;
+}
+
+bool is_digest_hex(std::string_view hex) {
+  Digest ignored;
+  return digest_from_hex(hex, ignored);
 }
 
 Digest zero_digest() {

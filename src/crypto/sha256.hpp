@@ -100,6 +100,16 @@ Bytes digest_bytes(const Digest& d);
 /// Lowercase hex of a digest.
 std::string digest_hex(const Digest& d);
 
+/// True when `hex` is a string digest_hex can render: exactly 64
+/// lowercase hex digits. Policy parsers and the delta decoder accept
+/// only this form, and only a line in this form can match a measured
+/// digest.
+bool is_digest_hex(std::string_view hex);
+
+/// The inverse of digest_hex: decodes `hex` into `out` and returns true
+/// exactly when is_digest_hex(hex). `out` is unspecified otherwise.
+bool digest_from_hex(std::string_view hex, Digest& out);
+
 /// An all-zero digest (e.g., initial PCR value).
 Digest zero_digest();
 

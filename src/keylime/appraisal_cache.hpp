@@ -1,24 +1,18 @@
-// A policy-verdict cache for the appraisal hot path.
+// A policy-verdict cache keyed by (template hash, PolicyIndex uid).
 //
-// The common fleet case is massive cross-agent redundancy: every node
-// runs the same distro binaries, so the same ima-ng template hash —
-// sha256(file_hash || path), which the verifier recomputes itself and
-// which therefore uniquely names the (content, path) pair being judged —
-// is appraised thousands of times per round. The cache maps
-// (template_hash, policy-index uid) -> PolicyMatch so repeats skip the
-// PolicyIndex probe entirely.
+// Not on the verifier's appraisal path: PolicyIndex::appraise answers an
+// allowed entry from the revision's own template-hash set in one probe,
+// and a fresh revision's uid missed every cached slot anyway. The class
+// stays only because fleetbench's appraisal replay still times the
+// cache-plus-check shape and reads VerifierPool::Stats::cache_*; it goes
+// when that replay times PolicyIndex::appraise instead.
 //
-// Keying on PolicyIndex::uid() (process-unique per built index) makes a
-// copy-on-write policy swap an implicit, immediate invalidation: the new
-// index has a uid no cached slot carries, so every lookup under it
-// misses and re-probes. No epochs, no flush walk, no way to serve a
-// verdict from a retired policy revision.
-//
-// The cache is deliberately NOT thread-safe. The sharded pool gives each
-// shard its own instance (shards are single-threaded and joined at round
-// boundaries), which keeps per-shard telemetry deterministic for a fixed
-// (seed, shards) pair — a shared cache would make hit counts depend on
-// cross-shard interleaving.
+// The key is sound for the reason the template-hash set is: the
+// template hash sha256(file_hash || path) over a fixed-length file hash
+// names exactly one (content, path) pair. Keying on PolicyIndex::uid()
+// (process-unique per built index) means a copy-on-write policy swap
+// never serves a verdict computed under the old revision. The cache is
+// not thread-safe.
 #pragma once
 
 #include <cstdint>

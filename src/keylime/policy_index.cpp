@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 
 #include "common/strutil.hpp"
 #include "keylime/policy_store/store.hpp"
@@ -46,7 +47,131 @@ bool is_dir_prefix_glob(const std::string& glob, std::string* prefix) {
   return true;
 }
 
+bool is_zero(const crypto::Digest& d) {
+  std::uint64_t w[4];
+  std::memcpy(w, d.data(), sizeof(w));
+  return (w[0] | w[1] | w[2] | w[3]) == 0;
+}
+
+/// Template hashes of policy lines, a sha256_batch block at a time:
+/// add() queues one (path, hex hash) line and `sink` receives its
+/// template_hash_of(digest, path) once the block is hashed. A line whose
+/// hash is not in the digest_hex form is dropped: no measured digest
+/// renders to it, so check() never allows it. Queued paths must stay
+/// alive until the next flush().
+template <typename Sink>
+class LineHasher {
+ public:
+  explicit LineHasher(Sink sink) : sink_(std::move(sink)) {}
+
+  void add(std::string_view path, const std::string& hash_hex) {
+    if (!crypto::digest_from_hex(hash_hex, file_hashes_[n_])) return;
+    inputs_[n_] = {file_hashes_[n_].data(), crypto::kSha256Size,
+                   reinterpret_cast<const std::uint8_t*>(path.data()),
+                   path.size()};
+    if (++n_ == kBlock) flush();
+  }
+
+  void flush() {
+    crypto::sha256_batch(inputs_, n_, out_);
+    for (std::size_t i = 0; i < n_; ++i) sink_(out_[i]);
+    n_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kBlock = 128;  // a multiple of every lane width
+  Sink sink_;
+  std::size_t n_ = 0;
+  crypto::Digest file_hashes_[kBlock];
+  crypto::HashInput inputs_[kBlock];
+  crypto::Digest out_[kBlock];
+};
+
 }  // namespace
+
+// ------------------------------------------------------------ TemplateSet
+
+std::size_t PolicyIndex::TemplateSet::home(const crypto::Digest& key) const {
+  std::uint64_t word;
+  std::memcpy(&word, key.data(), sizeof(word));
+  return static_cast<std::size_t>(word) & (slots_.size() - 1);
+}
+
+void PolicyIndex::TemplateSet::reserve(std::size_t keys) {
+  std::size_t capacity = 16;
+  while (keys * 3 > capacity * 2) capacity *= 2;
+  if (capacity > slots_.size()) rehash(capacity);
+}
+
+void PolicyIndex::TemplateSet::rehash(std::size_t capacity) {
+  std::vector<crypto::Digest> previous(capacity);
+  previous.swap(slots_);
+  size_ = 0;
+  for (const crypto::Digest& key : previous) {
+    if (!is_zero(key)) insert(key);
+  }
+}
+
+void PolicyIndex::TemplateSet::insert(const crypto::Digest& key) {
+  if (is_zero(key)) {
+    has_zero_ = true;
+    return;
+  }
+  if ((size_ + 1) * 3 > slots_.size() * 2) {
+    rehash(std::max<std::size_t>(16, slots_.size() * 2));
+  }
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    crypto::Digest& slot = slots_[i];
+    if (slot == key) return;
+    if (is_zero(slot)) {
+      slot = key;
+      ++size_;
+      return;
+    }
+  }
+}
+
+void PolicyIndex::TemplateSet::erase(const crypto::Digest& key) {
+  if (is_zero(key)) {
+    has_zero_ = false;
+    return;
+  }
+  if (size_ == 0) return;
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = home(key);
+  for (;; hole = (hole + 1) & mask) {
+    if (is_zero(slots_[hole])) return;  // absent
+    if (slots_[hole] == key) break;
+  }
+  // Pull each later member of the cluster back into the hole unless its
+  // home slot lies cyclically in (hole, j]: moving it would put it ahead
+  // of its home, where a probe never looks.
+  for (std::size_t j = (hole + 1) & mask; !is_zero(slots_[j]);
+       j = (j + 1) & mask) {
+    const std::size_t h = home(slots_[j]);
+    const bool stays = hole <= j ? (hole < h && h <= j) : (hole < h || h <= j);
+    if (!stays) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = crypto::Digest{};
+  --size_;
+}
+
+bool PolicyIndex::TemplateSet::contains(const crypto::Digest& key) const {
+  if (is_zero(key)) return has_zero_;
+  if (size_ == 0) return false;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    const crypto::Digest& slot = slots_[i];
+    if (slot == key) return true;
+    if (is_zero(slot)) return false;
+  }
+}
+
+// ------------------------------------------------------------ PolicyIndex
 
 std::shared_ptr<const PolicyIndex> PolicyIndex::build(
     const RuntimePolicy& policy, std::uint64_t revision) {
@@ -64,13 +189,19 @@ std::shared_ptr<const PolicyIndex> PolicyIndex::build(
     }
   }
   index->paths_.reserve(policy.path_count());
+  index->allowed_.reserve(policy.entry_count());
+  LineHasher allow([&](const crypto::Digest& t) { index->allowed_.insert(t); });
   policy.for_each_path(
       [&](const std::string& path, const std::vector<std::string>& hashes) {
         PathEntry entry;
         entry.excluded = index->excluded_by_scan(path);
         entry.hashes = hashes;
+        if (!entry.excluded) {
+          for (const std::string& h : hashes) allow.add(path, h);
+        }
         index->paths_.emplace(path, std::move(entry));
       });
+  allow.flush();
   index->path_count_ = index->paths_.size();
   return index;
 }
@@ -105,6 +236,7 @@ std::shared_ptr<const PolicyIndex> PolicyIndex::build_incremental(
       root = root->base_.get();
     }
     index->paths_ = root->paths_;
+    index->allowed_ = root->allowed_;
     index->dir_excludes_ = root->dir_excludes_;
     index->general_excludes_ = root->general_excludes_;
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
@@ -114,15 +246,41 @@ std::shared_ptr<const PolicyIndex> PolicyIndex::build_incremental(
       for (const auto& [path, entry] : (*it)->paths_) {
         index->paths_.insert_or_assign(path, entry);
       }
+      (*it)->revoked_.for_each(
+          [&](const crypto::Digest& t) { index->allowed_.erase(t); });
+      (*it)->allowed_.for_each(
+          [&](const crypto::Digest& t) { index->allowed_.insert(t); });
     }
   }
   index->revision_ = revision;
   index->uid_ = g_next_index_uid.fetch_add(1, std::memory_order_relaxed);
   index->entry_count_ = target.entry_count();
   index->path_count_ = target.path_count();
+
+  // Template hashes: revoke every allowed line the base shows for each
+  // touched path, then add the delta's lines. A layer records both; a
+  // flattened root applies them in that order, so a line the delta keeps
+  // is erased and re-inserted, never lost.
+  const bool layered = index->base_ != nullptr;
+  {
+    LineHasher revoke([&](const crypto::Digest& t) {
+      if (layered) {
+        index->revoked_.insert(t);
+      } else {
+        index->allowed_.erase(t);
+      }
+    });
+    for (const policy_store::DeltaEntry& e : delta.entries) {
+      const PathEntry* old = base->find(e.path);
+      if (old == nullptr || old->excluded) continue;
+      for (const std::string& h : old->hashes) revoke.add(e.path, h);
+    }
+    revoke.flush();
+  }
+  LineHasher allow([&](const crypto::Digest& t) { index->allowed_.insert(t); });
   for (const policy_store::DeltaEntry& e : delta.entries) {
     if (e.op == policy_store::DeltaEntry::Op::kRemove) {
-      if (index->base_ != nullptr) {
+      if (layered) {
         index->removed_.insert(e.path);
       } else {
         index->paths_.erase(e.path);
@@ -132,8 +290,12 @@ std::shared_ptr<const PolicyIndex> PolicyIndex::build_incremental(
     PathEntry entry;
     entry.excluded = index->excluded_by_scan(e.path);
     entry.hashes = e.hashes;
+    if (!entry.excluded) {
+      for (const std::string& h : e.hashes) allow.add(e.path, h);
+    }
     index->paths_.insert_or_assign(e.path, std::move(entry));
   }
+  allow.flush();
   return index;
 }
 
@@ -163,50 +325,64 @@ bool PolicyIndex::excluded_by_scan(std::string_view path) const {
   return false;
 }
 
+const PolicyIndex::PathEntry* PolicyIndex::find(std::string_view path) const {
+  for (const PolicyIndex* layer = this;; layer = layer->base_.get()) {
+    auto it = layer->paths_.find(path);
+    if (it != layer->paths_.end()) return &it->second;
+    if (layer->base_ == nullptr || layer->removed_.count(path) != 0) {
+      return nullptr;
+    }
+  }
+}
+
 PolicyMatch PolicyIndex::check(const std::string& path,
                                const std::string& hash_hex,
                                bool* known) const {
-  // Walk the overlay chain youngest-first: a patched entry wins, a
-  // tombstone hides every older layer, a root miss falls through to the
-  // exclude scan. A full-build index is a single iteration (base_ null).
-  for (const PolicyIndex* layer = this;; layer = layer->base_.get()) {
-    auto it = layer->paths_.find(path);
-    if (it != layer->paths_.end()) {
-      if (known) *known = true;
-      const PathEntry& entry = it->second;
-      if (entry.excluded) return PolicyMatch::kExcluded;
-      if (std::find(entry.hashes.begin(), entry.hashes.end(), hash_hex) !=
-          entry.hashes.end()) {
-        return PolicyMatch::kAllowed;
-      }
-      return PolicyMatch::kHashMismatch;
-    }
-    if (layer->base_ == nullptr || layer->removed_.count(path) != 0) break;
+  const PathEntry* entry = find(path);
+  if (known) *known = entry != nullptr;
+  if (entry == nullptr) {
+    return excluded_by_scan(path) ? PolicyMatch::kExcluded
+                                  : PolicyMatch::kNotInPolicy;
   }
-  if (known) *known = false;
-  if (excluded_by_scan(path)) return PolicyMatch::kExcluded;
-  return PolicyMatch::kNotInPolicy;
+  if (entry->excluded) return PolicyMatch::kExcluded;
+  if (std::find(entry->hashes.begin(), entry->hashes.end(), hash_hex) !=
+      entry->hashes.end()) {
+    return PolicyMatch::kAllowed;
+  }
+  return PolicyMatch::kHashMismatch;
 }
 
 PolicyMatch PolicyIndex::check(std::string_view path,
                                const crypto::Digest& hash,
                                bool* known) const {
-  for (const PolicyIndex* layer = this;; layer = layer->base_.get()) {
-    auto it = layer->paths_.find(path);
-    if (it != layer->paths_.end()) {
-      if (known) *known = true;
-      const PathEntry& entry = it->second;
-      if (entry.excluded) return PolicyMatch::kExcluded;
-      for (const std::string& h : entry.hashes) {
-        if (hex_names_digest(h, hash)) return PolicyMatch::kAllowed;
-      }
-      return PolicyMatch::kHashMismatch;
-    }
-    if (layer->base_ == nullptr || layer->removed_.count(path) != 0) break;
+  const PathEntry* entry = find(path);
+  if (known) *known = entry != nullptr;
+  if (entry == nullptr) {
+    return excluded_by_scan(path) ? PolicyMatch::kExcluded
+                                  : PolicyMatch::kNotInPolicy;
   }
-  if (known) *known = false;
-  if (excluded_by_scan(path)) return PolicyMatch::kExcluded;
-  return PolicyMatch::kNotInPolicy;
+  if (entry->excluded) return PolicyMatch::kExcluded;
+  for (const std::string& h : entry->hashes) {
+    if (hex_names_digest(h, hash)) return PolicyMatch::kAllowed;
+  }
+  return PolicyMatch::kHashMismatch;
+}
+
+PolicyMatch PolicyIndex::appraise(std::string_view path,
+                                  const crypto::Digest& file_hash,
+                                  const crypto::Digest& template_hash,
+                                  bool* known) const {
+  // Youngest layer first: an added line allows, a revoked one stops the
+  // walk, so a line a later delta replaced is never found further down.
+  for (const PolicyIndex* layer = this; layer != nullptr;
+       layer = layer->base_.get()) {
+    if (layer->allowed_.contains(template_hash)) {
+      if (known) *known = true;
+      return PolicyMatch::kAllowed;
+    }
+    if (layer->revoked_.contains(template_hash)) break;
+  }
+  return check(path, file_hash, known);
 }
 
 }  // namespace cia::keylime

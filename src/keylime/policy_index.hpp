@@ -1,20 +1,28 @@
-// An immutable hash-map index over one RuntimePolicy revision.
+// An immutable index over one RuntimePolicy revision.
 //
 // The paper's deployment appraises every IMA entry against a 323,734-line
 // (46 MB) policy; RuntimePolicy::check pays an ordered-map path lookup
 // plus a glob scan over the exclude list on every call. PolicyIndex is
-// built once per policy revision and answers the same query from a flat
-// hash table with the exclusion verdict precomputed per indexed path —
-// the hot path (an allowed entry) is one string hash and one memcmp-sized
-// compare.
+// built once per policy revision and answers the same query two ways:
+//
+//   * appraise() first probes a flat set of the template hashes of every
+//     allowed policy line, SHA-256(file_hash || path). The file hash has
+//     a fixed 32 bytes, so a template hash names exactly one (path, hash)
+//     line, and an allowed entry — the hot path — costs one probe on a
+//     random 32-byte key with no path hashing;
+//   * check(), and appraise() on a set miss, look the path up in a hash
+//     table with the exclusion verdict precomputed per indexed path, and
+//     fall back to the compiled exclude list for unknown paths.
 //
 // Indexes are shared read-only across verifier shards via
 // shared_ptr<const PolicyIndex>: a dynamic policy update builds a fresh
 // index and swaps the pointer (copy-on-write), so a shard mid-appraisal
 // keeps its consistent snapshot and never observes a torn table.
-// check() must agree with RuntimePolicy::check on every input — a
-// property test in tests/property_test.cpp holds the two implementations
-// against each other over generated policies and adversarial paths.
+// check() and appraise() must agree with RuntimePolicy::check on every
+// input — property tests in tests/property_test.cpp,
+// tests/policy_store_test.cpp and tests/hotpath_diff_test.cpp hold them
+// against each other over generated policies, delta chains and
+// adversarial paths.
 #pragma once
 
 #include <cstdint>
@@ -36,20 +44,27 @@ struct PolicyDelta;
 
 class PolicyIndex {
  public:
-  /// Build an index over `policy`. `revision` tags the snapshot (the
-  /// pool bumps it once per dynamic policy push) and is observability
-  /// metadata only — lookups never consult it.
+  /// Build an index over `policy`: the path table, plus the template
+  /// hash of every allowed line (its path not excluded, its hash in the
+  /// crypto::is_digest_hex form), computed with sha256_batch. `revision`
+  /// tags the snapshot (the pool bumps it once per dynamic policy push)
+  /// and is observability metadata only — lookups never consult it.
   static std::shared_ptr<const PolicyIndex> build(const RuntimePolicy& policy,
                                                   std::uint64_t revision = 0);
 
   /// Build the index for `target` as a thin overlay layer over `base`:
   /// only the paths `delta` names are stored (plus tombstones for
   /// removals); everything else resolves through the shared base table.
+  /// The layer's template-hash overlay holds the allowed lines the delta
+  /// adds and revokes every allowed line the base shows for a path the
+  /// delta touches, so a stale line of a replaced or removed path can
+  /// never be allowed through an older layer.
   /// For the paper's §III-C shape (a ~1.3k-entry daily update against a
   /// 300k-entry base) the layer costs O(delta), not O(base) — neither
   /// the per-path exclude-glob scan of a full build nor a deep copy of
   /// the base table. Every kMaxLayerDepth layers the chain is flattened
-  /// (one deep copy, replaying the overlays) so lookup depth stays
+  /// (one deep copy of the root's path table and template-hash set,
+  /// replaying the overlays into both) so lookup depth stays
   /// bounded under an unbounded stream of daily deltas. Preconditions
   /// (the pool's push path guarantees them): `base` indexes the policy
   /// delta.base_digest names, and `target` == apply(base policy, delta).
@@ -80,12 +95,24 @@ class PolicyIndex {
   PolicyMatch check(std::string_view path, const crypto::Digest& hash,
                     bool* known = nullptr) const;
 
+  /// The verifier's per-entry verdict. A template hash naming an allowed
+  /// line answers kAllowed from one probe per overlay layer (known =
+  /// true); anything else falls through to check(path, file_hash,
+  /// known). Equal to check(path, file_hash) — verdict and `known` —
+  /// whenever template_hash == crypto::template_hash_of(file_hash,
+  /// path). The caller owns that precondition: pass a hash it computed
+  /// from the entry itself, or checked against it where the entry came
+  /// in, never one an agent or a state blob merely claims.
+  PolicyMatch appraise(std::string_view path, const crypto::Digest& file_hash,
+                       const crypto::Digest& template_hash,
+                       bool* known = nullptr) const;
+
   std::uint64_t revision() const { return revision_; }
 
   /// Process-unique id of this built index, assigned by build(). Unlike
   /// `revision()` (caller-supplied metadata, defaults to 0), uid() never
-  /// collides between two distinct indexes, so verdict caches key on it
-  /// to make a copy-on-write policy swap an implicit cache invalidation.
+  /// collides between two distinct indexes, so a verdict cache keyed on
+  /// it cannot serve a verdict across a policy swap.
   std::uint64_t uid() const { return uid_; }
   std::size_t path_count() const { return path_count_; }
   std::size_t entry_count() const { return entry_count_; }
@@ -113,6 +140,42 @@ class PolicyIndex {
     bool excluded = false;  // is_excluded(path), precomputed at build
     std::vector<std::string> hashes;
   };
+
+  /// A flat open-addressing set of template hashes: power-of-two
+  /// capacity, linear probing, load at most 2/3, 32-byte keys stored
+  /// inline, so an insert allocates nothing per entry. A key's own
+  /// leading bytes pick its slot: a SHA-256 output is already uniform.
+  /// The all-zero digest marks an empty slot, so that one key lives in a
+  /// flag instead.
+  class TemplateSet {
+   public:
+    void reserve(std::size_t keys);
+    void insert(const crypto::Digest& key);
+    /// Backward-shift deletion: no tombstones, probe chains stay short.
+    void erase(const crypto::Digest& key);
+    bool contains(const crypto::Digest& key) const;
+
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      if (has_zero_) fn(crypto::Digest{});
+      for (const crypto::Digest& key : slots_) {
+        if (key != crypto::Digest{}) fn(key);
+      }
+    }
+
+   private:
+    std::size_t home(const crypto::Digest& key) const;
+    void rehash(std::size_t capacity);
+
+    std::vector<crypto::Digest> slots_;
+    std::size_t size_ = 0;  // keys held in slots_ (the zero key excluded)
+    bool has_zero_ = false;
+  };
+
+  /// The entry for `path`, walking the overlay chain youngest-first: a
+  /// patched entry wins, a tombstone hides every older layer. nullptr
+  /// when no layer holds the path.
+  const PathEntry* find(std::string_view path) const;
 
   /// Transparent hash/equality so string_view keys probe without an
   /// owning std::string temporary.
@@ -144,6 +207,12 @@ class PolicyIndex {
   std::unordered_set<std::string, SvHash, SvEq> dir_excludes_;
   /// Everything the compiler could not reduce to a prefix probe.
   std::vector<std::string> general_excludes_;
+  /// Template hashes of allowed lines: all of them on a root index, the
+  /// lines its delta adds on an overlay layer.
+  TemplateSet allowed_;
+  /// Overlay layers only: every allowed line the base shows for a path
+  /// the delta touches. A hit stops the walk before older layers.
+  TemplateSet revoked_;
   std::size_t entry_count_ = 0;
   std::size_t path_count_ = 0;
   std::size_t layer_depth_ = 0;

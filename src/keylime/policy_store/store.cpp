@@ -8,21 +8,13 @@ namespace cia::keylime::policy_store {
 
 namespace {
 
-bool is_hex64(const std::string& s) {
-  if (s.size() != 64) return false;
-  for (char c : s) {
-    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
-  }
-  return true;
-}
-
 Status check_hashes(const std::vector<std::string>& hashes,
                     const std::string& path) {
   if (hashes.empty()) {
     return err(Errc::kCorrupted, "delta entry for " + path + " has no hashes");
   }
   for (std::size_t i = 0; i < hashes.size(); ++i) {
-    if (!is_hex64(hashes[i])) {
+    if (!crypto::is_digest_hex(hashes[i])) {
       return err(Errc::kCorrupted, "bad delta hash for " + path);
     }
     // RuntimePolicy::allow dedups, so a duplicated hash could never
@@ -111,7 +103,8 @@ Result<PolicyDelta> PolicyDelta::from_json(const json::Value& doc) {
   PolicyDelta delta;
   for (const char* which : {"base", "target"}) {
     const json::Value* digest = doc.find(which);
-    if (!digest || !digest->is_string() || !is_hex64(digest->as_string())) {
+    if (!digest || !digest->is_string() ||
+        !crypto::is_digest_hex(digest->as_string())) {
       return err(Errc::kCorrupted,
                  std::string("delta ") + which + " is not a sha256 digest");
     }

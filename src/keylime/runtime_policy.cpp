@@ -137,8 +137,8 @@ Result<RuntimePolicy> RuntimePolicy::parse(const std::string& text) {
     }
     const std::string path = line.substr(0, sep);
     const std::string hash = line.substr(sep + 8);
-    if (hash.size() != 64) {
-      return err(Errc::kCorrupted, "bad hash length in line: " + line);
+    if (!crypto::is_digest_hex(hash)) {
+      return err(Errc::kCorrupted, "bad hash in line: " + line);
     }
     policy.allow(path, hash);
   }
@@ -260,7 +260,7 @@ Result<RuntimePolicy> RuntimePolicy::from_json(const json::Value& doc) {
       return err(Errc::kCorrupted, "digest list for " + path + " is not an array");
     }
     for (const auto& h : hashes.as_array()) {
-      if (!h.is_string() || h.as_string().size() != 64) {
+      if (!h.is_string() || !crypto::is_digest_hex(h.as_string())) {
         return err(Errc::kCorrupted, "bad digest for " + path);
       }
       policy.allow(path, h.as_string());

@@ -70,6 +70,9 @@ class RuntimePolicy {
   std::size_t remove_prefix(const std::string& prefix);
 
   /// One "path sha256:hash" line per entry plus "exclude <glob>" lines.
+  /// parse() and from_json() accept only hashes crypto::is_digest_hex
+  /// admits (64 lowercase hex digits), the form policy_store's delta
+  /// decoder demands, so every diff of two parsed policies decodes.
   std::string serialize() const;
   static Result<RuntimePolicy> parse(const std::string& text);
 

@@ -618,20 +618,11 @@ PolicyMatch Verifier::appraise(const PolicyRevision& revision,
                                const crypto::Digest& file_hash,
                                const crypto::Digest& template_hash) {
   const PolicyIndex* index = revision.index.get();
-  if (!index) {
-    // Legacy linear path. No cache here: a cached verdict must be keyed
-    // to an index uid so policy swaps invalidate it.
-    return revision.policy.check(std::string(path), file_hash);
-  }
-  if (cache_) {
-    if (const auto cached = cache_->lookup(template_hash, index->uid())) {
-      return *cached;
-    }
-  }
+  if (!index) return revision.policy.check(std::string(path), file_hash);
   bool known = false;
-  const PolicyMatch match = index->check(path, file_hash, &known);
+  const PolicyMatch match =
+      index->appraise(path, file_hash, template_hash, &known);
   ++(known ? index_stats_.hits : index_stats_.misses);
-  if (cache_) cache_->insert(template_hash, index->uid(), match);
   return match;
 }
 
@@ -975,6 +966,14 @@ Result<Verifier::ParsedAgentSlice> Verifier::agent_from_json(
       }
       if (!template_hash.ok()) return template_hash.error();
       if (!file_hash.ok()) return file_hash.error();
+      // appraise() trusts a backlog entry's template hash as the hash of
+      // its own data, so a slice must not be able to claim one.
+      if (template_hash.value() !=
+          crypto::template_hash_of(file_hash.value(), path->as_string())) {
+        return err(Errc::kCorrupted,
+                   "checkpoint: pending template_hash does not match its "
+                   "entry");
+      }
       ima::LogEntry entry;
       entry.pcr = static_cast<int>(pcr_field->as_int());
       entry.template_name = template_name->as_string();

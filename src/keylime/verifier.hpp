@@ -19,7 +19,6 @@
 
 #include "common/rng.hpp"
 #include "common/sim_clock.hpp"
-#include "keylime/appraisal_cache.hpp"
 #include "keylime/audit.hpp"
 #include "keylime/messages.hpp"
 #include "keylime/notifier.hpp"
@@ -182,23 +181,16 @@ class Verifier : public PolicySink {
   /// ever held a rolled-back revision.
   std::uint64_t policy_revision_of(const std::string& agent_id) const;
 
-  /// Cumulative PolicyIndex lookup tallies across all agents: a hit
-  /// resolved the path from the index table, a miss fell through to the
-  /// exclude-glob scan. Entries appraised without an index count in
-  /// neither.
+  /// Cumulative PolicyIndex lookup tallies across all agents, one count
+  /// per entry appraised under an indexed revision: a hit was answered
+  /// from the template-hash set or the path table, a miss fell through
+  /// to the exclude-glob scan. Entries appraised without an index count
+  /// in neither.
   struct IndexStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
   };
   const IndexStats& index_stats() const { return index_stats_; }
-
-  /// Attach a policy-verdict cache (non-owning; nullptr detaches).
-  /// Appraisal consults it before the PolicyIndex probe; it only
-  /// participates on indexed appraisals, since a cached verdict is keyed
-  /// by PolicyIndex::uid() so copy-on-write policy swaps invalidate it.
-  /// The cache is not thread-safe — give each verifier (pool shard) its
-  /// own instance.
-  void use_appraisal_cache(AppraisalCache* cache) { cache_ = cache; }
 
   /// Install a measured-boot refstate for an agent; PCR 0/4/7 of every
   /// subsequent quote must match it.
@@ -365,11 +357,14 @@ class Verifier : public PolicySink {
 
   Result<AttestationRound> attest_once_impl(const std::string& agent_id);
 
-  /// One policy verdict on the appraisal hot path: verdict cache (when
-  /// attached and the revision is indexed), then PolicyIndex probe, then
-  /// the linear RuntimePolicy scan for an unindexed revision.
-  /// `template_hash` must be the hash the verifier computed/verified from
-  /// the entry's own data — it is the cache key.
+  /// One policy verdict on the appraisal hot path: PolicyIndex::appraise
+  /// for an indexed revision (one template-hash probe for an allowed
+  /// entry), the linear RuntimePolicy scan for an unindexed one.
+  /// `template_hash` must be the hash of the entry's own data: computed
+  /// and compared this round for a fresh entry, or checked by
+  /// agent_from_json for a backlog entry restored or imported from JSON.
+  /// An allowed line's template hash under another path would otherwise
+  /// be allowed outright.
   PolicyMatch appraise(const PolicyRevision& revision, std::string_view path,
                        const crypto::Digest& file_hash,
                        const crypto::Digest& template_hash);
@@ -393,7 +388,6 @@ class Verifier : public PolicySink {
   telemetry::Tracer* tracer_ = nullptr;
   crypto::Digest last_quote_digest_{};  // set by attest_once_impl
   IndexStats index_stats_;
-  AppraisalCache* cache_ = nullptr;  // optional, non-owning
   std::uint64_t bulk_revision_ = 0;  // revision tags for bulk-built indexes
 };
 

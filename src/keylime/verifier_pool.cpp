@@ -82,7 +82,6 @@ VerifierPool::Shard::Shard(std::uint64_t pool_seed, std::size_t shard_index,
                     : nullptr),
       scheduler(&verifier, &clock, config.scheduler) {
   if (transport) verifier.use_transport(transport.get());
-  verifier.use_appraisal_cache(&appraisal_cache);
 }
 
 VerifierPool::VerifierPool(std::uint64_t seed, VerifierPoolConfig config)
@@ -349,17 +348,6 @@ void VerifierPool::record_batch(Shard& shard, std::size_t batch_size,
     metrics_->counter("cia_pool_index_misses_total", labels)
         .inc(stats.misses - shard.exported_misses);
     shard.exported_misses = stats.misses;
-  }
-  const AppraisalCache::Stats& cs = shard.appraisal_cache.stats();
-  if (cs.hits > shard.exported_cache_hits) {
-    metrics_->counter("cia_pool_appraisal_cache_hits_total", labels)
-        .inc(cs.hits - shard.exported_cache_hits);
-    shard.exported_cache_hits = cs.hits;
-  }
-  if (cs.misses > shard.exported_cache_misses) {
-    metrics_->counter("cia_pool_appraisal_cache_misses_total", labels)
-        .inc(cs.misses - shard.exported_cache_misses);
-    shard.exported_cache_misses = cs.misses;
   }
 }
 
@@ -878,9 +866,6 @@ VerifierPool::Stats VerifierPool::stats() const {
     const Verifier::IndexStats& is = shard->verifier.index_stats();
     s.index_hits += is.hits;
     s.index_misses += is.misses;
-    const AppraisalCache::Stats& cs = shard->appraisal_cache.stats();
-    s.cache_hits += cs.hits;
-    s.cache_misses += cs.misses;
   }
   return s;
 }

@@ -273,10 +273,14 @@ class VerifierPool : public PolicySink {
   struct Stats {
     std::uint64_t polls = 0;
     std::uint64_t batches = 0;
+    /// One count per entry appraised under an indexed revision (see
+    /// Verifier::IndexStats).
     std::uint64_t index_hits = 0;
     std::uint64_t index_misses = 0;
-    std::uint64_t cache_hits = 0;    // appraisal verdict-cache hits
-    std::uint64_t cache_misses = 0;  // ...and misses (then index probed)
+    /// Always 0: no shard keeps a verdict cache. Kept only because
+    /// fleetbench's replay still reads these two fields.
+    std::uint64_t cache_hits = 0;
+    std::uint64_t cache_misses = 0;
     std::uint64_t policy_swaps = 0;
   };
   Stats stats() const;
@@ -295,11 +299,6 @@ class VerifierPool : public PolicySink {
     SimClock clock;
     netsim::SimNetwork network;
     Registrar registrar;
-    // Per-shard verdict cache (NOT shared across shards: the cache is
-    // single-threaded by design, and sharing one would make per-shard
-    // hit/miss telemetry depend on cross-shard interleaving, breaking
-    // the byte-identical-telemetry determinism contract).
-    AppraisalCache appraisal_cache;
     Verifier verifier;
     std::unique_ptr<netsim::RetryingTransport> transport;
     AttestationScheduler scheduler;
@@ -317,8 +316,6 @@ class VerifierPool : public PolicySink {
     std::uint64_t policy_swaps = 0;
     std::uint64_t exported_hits = 0;    // index stats already exported
     std::uint64_t exported_misses = 0;
-    std::uint64_t exported_cache_hits = 0;    // cache stats already exported
-    std::uint64_t exported_cache_misses = 0;
 
     // Alert-pipeline stage: the worker folds alerts_[alerts_staged..)
     // into per-key partials during its round; the driver takes the

@@ -202,10 +202,14 @@ struct CheckpointRig {
       (void)verifier.attest_once(machine.hostname());
       if (tamper && i == 0) {
         // Leave agent 0 FAILED with pending entries: the checkpoint then
-        // covers the quarantine/pending branches of restore().
+        // covers the quarantine/pending branches of restore(). The entry
+        // measured after the implant is the backlog the halt leaves.
         const std::string mal = "/tmp/tk-implant";
         (void)machine.fs().create_file(mal, to_bytes("elf:implant"), true);
         (void)machine.exec(mal);
+        const std::string after = "/usr/bin/tk-after-implant";
+        (void)machine.fs().create_file(after, to_bytes("elf:" + after), true);
+        (void)machine.exec(after);
         (void)verifier.attest_once(machine.hostname());
       }
       clock.advance(60);
@@ -234,6 +238,35 @@ const std::vector<Bytes>& sample_checkpoints() {
   return kSamples;
 }
 
+/// Does every backlog entry of an agent slice carry the template hash of
+/// its own (file_hash, path)? Indexed appraisal answers an entry from
+/// that hash alone, so restore() and import_agent() must never admit a
+/// slice where this fails.
+bool backlog_hashes_are_own(const json::Value& slice) {
+  const json::Value* pending = slice.find("pending");
+  if (pending == nullptr || !pending->is_array()) return true;
+  for (const json::Value& p : pending->as_array()) {
+    const json::Value* path = p.find("path");
+    const json::Value* file_hex = p.find("file_hash");
+    const json::Value* template_hex = p.find("template_hash");
+    crypto::Digest file_hash{}, template_hash{};
+    if (path == nullptr || !path->is_string() || file_hex == nullptr ||
+        !file_hex->is_string() || template_hex == nullptr ||
+        !template_hex->is_string() ||
+        !hex_decode(file_hex->as_string(), file_hash.data(),
+                    file_hash.size()) ||
+        !hex_decode(template_hex->as_string(), template_hash.data(),
+                    template_hash.size())) {
+      return false;
+    }
+    if (template_hash !=
+        crypto::template_hash_of(file_hash, path->as_string())) {
+      return false;
+    }
+  }
+  return true;
+}
+
 FuzzOutcome run_checkpoint(const Bytes& input) {
   auto doc = json::parse(to_string(input));
   if (!doc.ok()) return FuzzOutcome::rejected();
@@ -250,6 +283,13 @@ FuzzOutcome run_checkpoint(const Bytes& input) {
   static RestoreRig* rig = new RestoreRig();
 
   if (!rig->primary.restore(doc.value()).ok()) return FuzzOutcome::rejected();
+  for (const json::Value& agent : doc.value().find("agents")->as_array()) {
+    if (!backlog_hashes_are_own(agent)) {
+      return FuzzOutcome::violation(
+          "restore() admitted a backlog entry whose template hash is not "
+          "its own");
+    }
+  }
   const std::string first = rig->primary.checkpoint().dump();
   auto first_doc = json::parse(first);
   if (!first_doc.ok()) {
@@ -333,6 +373,11 @@ FuzzOutcome run_migration(const Bytes& input) {
 
   const std::string before = rig->dst.checkpoint().dump();
   if (rig->dst.import_agent(p.agent_slice).ok()) {
+    if (!backlog_hashes_are_own(p.agent_slice)) {
+      return FuzzOutcome::violation(
+          "import_agent() admitted a backlog entry whose template hash is "
+          "not its own");
+    }
     if (!rig->dst.restore(rig->baseline).ok()) {
       return FuzzOutcome::violation("rig baseline restore failed after import");
     }

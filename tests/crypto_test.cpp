@@ -110,6 +110,34 @@ TEST(Sha256Test, PairAndTemplateHelpersMatchStreaming) {
   EXPECT_EQ(pcr_fold(acc, expected), ctx.finish());
 }
 
+TEST(Sha256Test, DigestFromHexInvertsDigestHexAndNothingElse) {
+  for (int i = 0; i < 64; ++i) {
+    const Digest d = sha256("digest-" + std::to_string(i));
+    const std::string hex = digest_hex(d);
+    Digest decoded{};
+    ASSERT_TRUE(digest_from_hex(hex, decoded)) << hex;
+    EXPECT_EQ(decoded, d);
+    EXPECT_TRUE(is_digest_hex(hex));
+  }
+  // Every byte value at every position: only 0-9 and a-f decode.
+  const std::string base = digest_hex(sha256(std::string("base")));
+  for (int c = 0; c < 256; ++c) {
+    const char ch = static_cast<char>(c);
+    const bool lower_hex = (ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'f');
+    for (std::size_t pos : {std::size_t{0}, std::size_t{31}, std::size_t{63}}) {
+      std::string hex = base;
+      hex[pos] = ch;
+      Digest decoded{};
+      EXPECT_EQ(digest_from_hex(hex, decoded), lower_hex) << c << "@" << pos;
+      EXPECT_EQ(is_digest_hex(hex), lower_hex) << c << "@" << pos;
+    }
+  }
+  Digest decoded{};
+  EXPECT_FALSE(digest_from_hex(base.substr(1), decoded));
+  EXPECT_FALSE(digest_from_hex(base + "0", decoded));
+  EXPECT_FALSE(digest_from_hex("", decoded));
+}
+
 TEST(Sha256Test, BatchMatchesOneShots) {
   const std::string a0 = "alpha", b0 = "/bin/sh";
   const std::string a1 = "", b1 = "solo-second-segment";

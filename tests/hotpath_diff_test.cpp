@@ -1,25 +1,29 @@
 // Differential coverage for the appraisal hot path.
 //
-// PR 5 rebuilt the verifier's appraisal pipeline for throughput: fused
-// single-pass verify+fold over zero-copy decoded entries, PolicyIndex
-// probes, and a policy-revision-keyed verdict cache. None of that may
-// move a verdict or an alert by a single byte. These tests hold the fast
-// path against the pre-existing slow path two ways:
+// The verifier's appraisal pipeline is built for throughput: fused
+// single-pass verify+fold over zero-copy decoded entries, and one
+// template-hash probe per allowed entry through PolicyIndex::appraise.
+// None of that may move a verdict or an alert by a single byte. These
+// tests hold the fast path against the pre-existing slow path two ways:
 //
 //   * verdict parity, property-style: RuntimePolicy::check (the linear
-//     reference), PolicyIndex::check, and the cache-layered probe must
-//     agree on testkit-generated policies and adversarial entries —
-//     including the SNAP/container truncated-path shapes gen_path emits —
-//     with shrink-on-failure minimizing any offending path;
+//     reference), PolicyIndex::check, PolicyIndex::appraise (with its
+//     `known` flag) and the AppraisalCache-layered probe must agree on
+//     testkit-generated policies and adversarial entries — including
+//     the SNAP/container truncated-path shapes gen_path emits, lines
+//     whose hashes no digest renders to, and excluded lines — with
+//     shrink-on-failure minimizing any offending path;
 //   * alert parity, end-to-end: two verifiers attest the SAME agent over
 //     the same workload (P1-style /tmp implants, modified binaries,
-//     unknown files, reboot re-measurement), one on the indexed+cached
-//     fast path and one on the plain linear path; their rounds and full
+//     unknown files, reboot re-measurement), one on the indexed fast
+//     path and one on the plain linear path; their rounds and full
 //     alert streams must render byte-identically, under both P2 failure
 //     semantics.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hex.hpp"
@@ -46,8 +50,8 @@ using keylime::PolicyIndex;
 using keylime::PolicyMatch;
 using keylime::RuntimePolicy;
 
-// The cache-layered fast-path probe, exactly as Verifier::appraise runs
-// it on indexed appraisals.
+// The cache-layered probe the verifier ran before PolicyIndex::appraise
+// (fleetbench's appraisal replay still times this shape).
 PolicyMatch cached_check(AppraisalCache& cache, const PolicyIndex& index,
                          const std::string& path,
                          const crypto::Digest& file_hash) {
@@ -64,33 +68,81 @@ void expect_parity(const RuntimePolicy& policy, const PolicyIndex& index,
                    AppraisalCache& cache, const std::string& path,
                    const crypto::Digest& hash, std::uint64_t seed) {
   const PolicyMatch slow = policy.check(path, hash);
-  const PolicyMatch indexed = index.check(path, hash);
+  bool known_indexed = false, known_appraised = false;
+  const PolicyMatch indexed = index.check(path, hash, &known_indexed);
+  const PolicyMatch appraised = index.appraise(
+      path, hash, crypto::template_hash_of(hash, path), &known_appraised);
   const PolicyMatch cached = cached_check(cache, index, path, hash);
   // A second probe must now be served from the cache, with the verdict
   // unchanged.
   const PolicyMatch cached_again = cached_check(cache, index, path, hash);
-  if (slow == indexed && slow == cached && slow == cached_again) return;
+  if (slow == indexed && slow == appraised &&
+      known_indexed == known_appraised && slow == cached &&
+      slow == cached_again) {
+    return;
+  }
 
   const auto diverges = [&](const std::string& p) {
     if (p.empty()) return false;
     const PolicyMatch s = policy.check(p, hash);
-    return index.check(p, hash) != s ||
-           cached_check(cache, index, p, hash) != s;
+    bool k_check = false, k_appraise = false;
+    return index.check(p, hash, &k_check) != s ||
+           index.appraise(p, hash, crypto::template_hash_of(hash, p),
+                          &k_appraise) != s ||
+           k_check != k_appraise || cached_check(cache, index, p, hash) != s;
   };
   const std::string minimized = shrink_text(path, diverges);
   ADD_FAILURE() << "verdict divergence (seed " << seed << ") on path \""
                 << path << "\" (minimized: \"" << minimized << "\"): slow="
                 << keylime::policy_match_name(slow)
                 << " indexed=" << keylime::policy_match_name(indexed)
+                << " appraised=" << keylime::policy_match_name(appraised)
+                << " known=" << known_indexed << "/" << known_appraised
                 << " cached=" << keylime::policy_match_name(cached);
+}
+
+// Lines only a direct allow() can create — hashes no measured digest
+// renders to — plus an excluded line whose hash does render: none of
+// them may reach appraise()'s template-hash set. Returns the digests to
+// probe each path with.
+std::vector<std::pair<std::string, crypto::Digest>> add_unmatchable_lines(
+    RuntimePolicy& policy, Rng& rng) {
+  std::vector<std::pair<std::string, crypto::Digest>> probes;
+  for (int i = 0; i < 6; ++i) {
+    const crypto::Digest d = crypto::sha256(rng.ident(8));
+    std::string hex = crypto::digest_hex(d);
+    const std::string path = "/usr/bin/odd-" + std::to_string(i);
+    switch (i % 3) {
+      case 0:  // the same digest, uppercase
+        for (char& c : hex) c = static_cast<char>(std::toupper(c));
+        break;
+      case 1:  // one non-hex digit
+        hex[17] = 'g';
+        break;
+      default:  // 63 digits
+        hex.pop_back();
+        break;
+    }
+    policy.allow(path, hex);
+    probes.emplace_back(path, d);
+  }
+  const crypto::Digest d = crypto::sha256("excluded-line");
+  policy.allow("/var/spool/odd/excluded", d);
+  policy.exclude("/var/spool/odd/*");
+  probes.emplace_back("/var/spool/odd/excluded", d);
+  return probes;
 }
 
 TEST(HotpathVerdictParity, GeneratedPoliciesAndAdversarialPaths) {
   for (std::uint64_t seed : {1u, 7u, 42u, 1337u}) {
     Rng rng(seed);
-    const RuntimePolicy policy = gen_policy(rng, 48);
+    RuntimePolicy policy = gen_policy(rng, 48);
+    const auto odd = add_unmatchable_lines(policy, rng);
     const auto index = PolicyIndex::build(policy);
     AppraisalCache cache;
+    for (const auto& [path, digest] : odd) {
+      expect_parity(policy, *index, cache, path, digest, seed);
+    }
 
     // Paths the policy knows: probe with an acceptable hash, a wrong
     // hash, and a random digest.
@@ -196,8 +248,8 @@ std::string render_alerts(const std::vector<keylime::Alert>& alerts) {
   return out;
 }
 
-// Two verifiers — fast (indexed policy + verdict cache) and slow (plain
-// linear RuntimePolicy) — attesting one real agent over one workload.
+// Two verifiers — fast (indexed policy) and slow (plain linear
+// RuntimePolicy) — attesting one real agent over one workload.
 struct DiffRig {
   explicit DiffRig(bool continue_on_failure)
       : ca("mfg", to_bytes("diff-seed")),
@@ -216,7 +268,6 @@ struct DiffRig {
     EXPECT_TRUE(agent->register_with(keylime::Registrar::address()).ok());
     EXPECT_TRUE(fast.add_agent(cfg.hostname, agent->address()).ok());
     EXPECT_TRUE(slow.add_agent(cfg.hostname, agent->address()).ok());
-    fast.use_appraisal_cache(&cache);
   }
 
   void install_policy(const RuntimePolicy& policy) {
@@ -252,7 +303,6 @@ struct DiffRig {
   keylime::Registrar registrar;
   keylime::Verifier fast;
   keylime::Verifier slow;
-  keylime::AppraisalCache cache;
   std::unique_ptr<oskernel::Machine> machine;
   std::unique_ptr<keylime::Agent> agent;
 };
@@ -302,7 +352,7 @@ void run_workload_parity(bool continue_on_failure,
   EXPECT_FALSE(rig.slow.alerts().empty());
 
   // Phase 3: recover (both stacks resolve identically) and reboot — the
-  // whole list re-measures, the fast path re-appraises through its cache.
+  // whole list re-measures, the fast path re-appraises through its index.
   if (!continue_on_failure) {
     ASSERT_TRUE(rig.fast.resolve_failure("diff-node").ok());
     ASSERT_TRUE(rig.slow.resolve_failure("diff-node").ok());
@@ -313,13 +363,15 @@ void run_workload_parity(bool continue_on_failure,
   rig.attest_and_compare();  // re-appraisal (stock: halts at svc-a again)
   if (!continue_on_failure) {
     // Resolve once more so the backlog behind the trojaned binary —
-    // entries appraised (and cached) before the reboot — gets drained.
+    // entries appraised before the reboot — gets drained.
     ASSERT_TRUE(rig.fast.resolve_failure("diff-node").ok());
     ASSERT_TRUE(rig.slow.resolve_failure("diff-node").ok());
   }
   rig.attest_and_compare();  // steady state / backlog drain
-  EXPECT_GT(rig.cache.stats().hits, 0u)
-      << "reboot re-appraisal should hit the verdict cache";
+  // Every entry the fast verifier judged went through the index, once.
+  const keylime::Verifier::IndexStats& stats = rig.fast.index_stats();
+  EXPECT_GT(stats.hits, 0u) << "appraisal must be served by the index";
+  EXPECT_GT(stats.misses, 0u) << "the rogue binary is not in the index";
   if (rendered_out) *rendered_out = render_alerts(rig.fast.alerts());
 }
 

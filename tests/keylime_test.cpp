@@ -279,6 +279,41 @@ TEST_F(Rig, ResolveFailureResumesAndEvaluatesBacklog) {
   EXPECT_EQ(round.value().alerts[0].path, "/usr/bin/evil2");
 }
 
+// A backlog entry's template hash is what indexed appraisal answers
+// from, so an agent slice must not be able to claim one: an entry
+// carrying an allowed line's template hash under another path would be
+// allowed outright on the importing shard.
+TEST_F(Rig, ImportRejectsAForgedBacklogTemplateHash) {
+  enroll();
+  ASSERT_TRUE(machine.fs().create_file("/usr/bin/evil1", to_bytes("e1"), true).ok());
+  ASSERT_TRUE(machine.fs().create_file("/usr/bin/evil2", to_bytes("e2"), true).ok());
+  ASSERT_TRUE(machine.exec("/usr/bin/evil1").ok());
+  ASSERT_TRUE(machine.exec("/usr/bin/evil2").ok());
+  ASSERT_TRUE(verifier.attest_once("node0").ok());
+  ASSERT_EQ(verifier.pending_entries("node0"), 1u);
+
+  auto slice = verifier.export_agent("node0");
+  ASSERT_TRUE(slice.ok());
+  json::Value forged = slice.value();
+  json::Value& entry =
+      forged.as_object().at("pending").as_array().front();
+  ASSERT_EQ(entry.find("path")->as_string(), "/usr/bin/evil2");
+  entry.set("template_hash",
+            crypto::digest_hex(crypto::template_hash_of(
+                crypto::sha256(std::string("elf:ls")), "/usr/bin/ls")));
+  EXPECT_FALSE(Verifier::validate_agent_slice(forged).ok());
+
+  Verifier dst(&network, &clock, 11);
+  const std::string before = dst.checkpoint().dump();
+  const Status rejected = dst.import_agent(forged);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.error().code, Errc::kCorrupted);
+  EXPECT_EQ(dst.checkpoint().dump(), before)
+      << "a rejected slice must leave no partial state";
+  ASSERT_TRUE(dst.import_agent(slice.value()).ok());
+  EXPECT_EQ(dst.pending_entries("node0"), 1u);
+}
+
 // A man-in-the-middle that forwards the agent's traffic verbatim except
 // for rewriting the (unsigned) boot_count field of quote responses. The
 // quote signature still covers the REAL boot count via bound_quote_nonce,

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hex.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/strutil.hpp"
@@ -52,6 +53,22 @@ using keylime::RuntimePolicy;
 
 std::string hex_of(const std::string& seed_text) {
   return crypto::digest_hex(crypto::sha256(seed_text));
+}
+
+// Does index->appraise() on the digest `hash_hex` names, with the
+// template hash the verifier would compute, give the oracle's verdict
+// and the same `known` flag as index->check()? Hashes that name no
+// digest have no entry to appraise and pass vacuously.
+bool appraise_agrees(const PolicyIndex& index, const RuntimePolicy& oracle,
+                     const std::string& path, const std::string& hash_hex) {
+  crypto::Digest d{};
+  if (!hex_decode(hash_hex, d.data(), d.size())) return true;
+  bool known_check = false, known_appraise = false;
+  const PolicyMatch checked = index.check(path, d, &known_check);
+  const PolicyMatch appraised = index.appraise(
+      path, d, crypto::template_hash_of(d, path), &known_appraise);
+  return appraised == oracle.check(path, d) && appraised == checked &&
+         known_appraise == known_check;
 }
 
 // ----------------------------------------------------------- edit scripts
@@ -228,6 +245,11 @@ std::string round_trip_failure(const RuntimePolicy& base,
         return "full index disagrees with RuntimePolicy::check on " + path;
       if (incr != full || known_incr != known_full)
         return "incremental index diverged from full build on " + path;
+      if (!appraise_agrees(*full_index, target, path, hash))
+        return "full index appraise() disagrees with check() on " + path;
+      if (!appraise_agrees(*incr_index, target, path, hash))
+        return "incremental index appraise() disagrees with check() on " +
+               path;
     }
   }
   return "";
@@ -285,6 +307,23 @@ TEST(PolicyDeltaEquivalence, DeltaChainStaysEquivalentAndFlattens) {
 
   bool flattened = false;
   std::uint64_t oracle_builds = 0;
+  // Every (path, hash) line any revision of the chain ever carried. The
+  // old lines of replaced and removed paths are where a stale allow
+  // would show: an overlay that forgot to revoke one lets appraise()
+  // find it in an older layer, or the flatten replays it back in.
+  std::map<std::string, std::vector<std::string>> history;
+  const auto remember = [&](const RuntimePolicy& p) {
+    p.for_each_path([&](const std::string& path,
+                        const std::vector<std::string>& hashes) {
+      std::vector<std::string>& seen = history[path];
+      for (const std::string& h : hashes) {
+        if (std::find(seen.begin(), seen.end(), h) == seen.end()) {
+          seen.push_back(h);
+        }
+      }
+    });
+  };
+  remember(current);
   const std::size_t steps = 2 * PolicyIndex::kMaxLayerDepth + 3;
   for (std::size_t step = 1; step <= steps; ++step) {
     // Exclude edits force the full-rebuild fallback (which resets the
@@ -340,6 +379,16 @@ TEST(PolicyDeltaEquivalence, DeltaChainStaysEquivalentAndFlattens) {
             << "step " << step << " path " << path;
         ASSERT_EQ(layered, target.check(path, h))
             << "step " << step << " path " << path;
+      }
+    }
+    remember(target);
+    for (const auto& [path, hashes] : history) {
+      for (const std::string& h : hashes) {
+        ASSERT_TRUE(appraise_agrees(*index, target, path, h))
+            << "step " << step << " depth " << index->layer_depth()
+            << " path " << path << " hash " << h;
+        ASSERT_TRUE(appraise_agrees(*fresh, target, path, h))
+            << "step " << step << " path " << path << " hash " << h;
       }
     }
     current = target;
@@ -524,6 +573,72 @@ TEST(PolicyDeltaDecodeTest, AcceptsItsOwnWireForm) {
   EXPECT_TRUE(decoded.value() == delta);
   EXPECT_EQ(decoded.value().serialize(), delta.serialize())
       << "decode must be a serialization fixed point";
+}
+
+// diff() copies hashes verbatim, so a parser that admitted a hash the
+// delta decoder rejects let diff() mint a delta its own decoder refused:
+// a base "/bin/a sha256:aaa…" and a target adding "/bin/b sha256:BBB…"
+// both parsed, diffed and applied, and the delta then failed
+// PolicyDelta::parse(serialize()). Both policy parsers now admit exactly
+// what the decoder admits (crypto::is_digest_hex).
+TEST(PolicyDeltaDecodeTest, ParsersAdmitOnlyWhatTheDeltaDecoderAdmits) {
+  const std::string lower_a(64, 'a');
+  const std::string upper_b(64, 'B');
+  auto base = RuntimePolicy::parse("/bin/a sha256:" + lower_a + "\n");
+  ASSERT_TRUE(base.ok());
+  EXPECT_FALSE(RuntimePolicy::parse("/bin/a sha256:" + lower_a +
+                                    "\n/bin/b sha256:" + upper_b + "\n")
+                   .ok());
+  for (const std::string& bad :
+       {upper_b, std::string(64, 'g'), std::string(63, 'b'),
+        std::string(65, 'b'), "0x" + std::string(62, 'b')}) {
+    EXPECT_FALSE(RuntimePolicy::parse("/bin/b sha256:" + bad + "\n").ok())
+        << bad;
+    json::Value doc = base.value().to_json();
+    json::Value list{json::Array{}};
+    list.push_back(bad);
+    doc.as_object().at("digests").set("/bin/b", std::move(list));
+    EXPECT_FALSE(RuntimePolicy::from_json(doc).ok()) << bad;
+  }
+  EXPECT_TRUE(RuntimePolicy::parse("/bin/b sha256:" + std::string(64, 'b') +
+                                   "\n")
+                  .ok());
+}
+
+// Property: two policies the parsers admit always diff to a delta that
+// survives its own strict decoder and applies back to the target.
+TEST(PolicyDeltaDecodeTest, DiffOfParsedPoliciesRoundTrips) {
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed * 7919 + 3);
+    const RuntimePolicy a_gen = testkit::gen_policy(rng, 24);
+    RuntimePolicy b_gen = testkit::gen_policy(rng, 24);
+    if (seed % 2 == 0) {
+      // Overlapping pairs, so the delta also keeps and replaces paths.
+      a_gen.for_each_path([&](const std::string& path,
+                              const std::vector<std::string>& hashes) {
+        if (rng.chance(0.5)) b_gen.set_hashes(path, hashes);
+      });
+    }
+    // Through the JSON parser (any path bytes survive it), so both sides
+    // hold only what a parser admits.
+    auto a = RuntimePolicy::from_json(a_gen.to_json());
+    auto b = RuntimePolicy::from_json(b_gen.to_json());
+    ASSERT_TRUE(a.ok() && b.ok()) << "seed " << seed;
+    if (ps::policy_digest(a.value()) == ps::policy_digest(b.value())) continue;
+    const ps::PolicyDelta delta = ps::diff(a.value(), b.value());
+    auto decoded = ps::PolicyDelta::parse(delta.serialize());
+    ASSERT_TRUE(decoded.ok()) << "seed " << seed << ": "
+                              << decoded.error().message;
+    EXPECT_TRUE(decoded.value() == delta) << "seed " << seed;
+    auto applied = ps::apply(a.value(), decoded.value());
+    ASSERT_TRUE(applied.ok()) << "seed " << seed << ": "
+                              << applied.error().message;
+    EXPECT_EQ(ps::policy_digest(applied.value()), ps::policy_digest(b.value()))
+        << "seed " << seed;
+    ++checked;
+  }
+  EXPECT_GE(checked, 50u);
 }
 
 TEST(PolicyDeltaDecodeTest, RejectionTable) {

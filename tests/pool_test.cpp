@@ -26,6 +26,7 @@
 #include "keylime/policy_store/store.hpp"
 #include "keylime/verifier_pool.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/metrics.hpp"
 #include "testkit/invariants.hpp"
 
 namespace cia {
@@ -111,6 +112,45 @@ TEST(PoolFleetTest, CleanFleetAttestsOnEveryShard) {
   EXPECT_EQ(fleet.pool().stats().polls, 16u);
   EXPECT_GT(fleet.pool().stats().index_hits, 0u)
       << "appraisal must be served by the PolicyIndex, not the linear scan";
+}
+
+TEST(PoolFleetTest, IndexStatsCountEveryAppraisedEntryOnce) {
+  telemetry::MetricsRegistry metrics;
+  PoolFleetOptions options;
+  options.agents = 8;
+  options.shards = 4;
+  options.seed = 17;
+  options.metrics = &metrics;
+  PoolFleet fleet(options);
+  ASSERT_TRUE(fleet.init_status().ok());
+  ASSERT_TRUE(fleet.push_fleet_policy().ok());
+
+  // Three rounds, the first shipping every boot-time log in full, the
+  // same binaries re-executed on every machine: every entry but each
+  // log's boot_aggregate is appraised under the pushed, indexed revision.
+  for (std::size_t r = 0; r < 3; ++r) {
+    fleet.run_workload_round(r);
+    fleet.pool().run_round();
+  }
+  ASSERT_TRUE(fleet.pool().alerts().empty());
+  std::uint64_t entries = 0;
+  for (std::size_t i = 0; i < options.agents; ++i) {
+    entries += fleet.machine(i).ima().log().size();
+  }
+  const keylime::VerifierPool::Stats stats = fleet.pool().stats();
+  EXPECT_EQ(stats.index_hits + stats.index_misses, entries - options.agents);
+  EXPECT_GT(stats.index_hits, 0u);
+  EXPECT_EQ(stats.cache_hits, 0u) << "no shard keeps a verdict cache";
+  EXPECT_EQ(stats.cache_misses, 0u);
+
+  const telemetry::MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.counter_total("cia_pool_index_hits_total") +
+                snap.counter_total("cia_pool_index_misses_total"),
+            static_cast<double>(entries - options.agents));
+  for (const telemetry::MetricPoint& point : snap.points) {
+    EXPECT_NE(point.name.rfind("cia_pool_appraisal_cache_", 0), 0u)
+        << point.name;
+  }
 }
 
 TEST(PoolFleetTest, ViolationFailsOnlyTheOffendingAgent) {

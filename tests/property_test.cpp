@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <map>
 #include <set>
 
@@ -296,6 +297,20 @@ TEST_P(PolicyIndexProperty, IndexAgreesWithLinearScanEverywhere) {
     policy.exclude("/usr/" + rng.ident(2) + "/*");
     policy.exclude("*." + rng.ident(2));
     policy.exclude("/opt/" + rng.ident(2) + "*");
+    // Lines appraise() must keep out of its template-hash set: a hash in
+    // uppercase (the same digest, but check() compares lowercase hex),
+    // one with a non-hex digit, and an allowed-looking line under an
+    // excluded path.
+    const std::string digest_hex = to_hex(rng.bytes(32));
+    std::string upper = digest_hex;
+    std::transform(upper.begin(), upper.end(), upper.begin(),
+                   [](unsigned char c) { return std::toupper(c); });
+    std::string non_hex = digest_hex;
+    non_hex[5] = 'x';
+    policy.allow("/usr/bin/upper-" + rng.ident(3), upper);
+    policy.allow("/usr/bin/nonhex-" + rng.ident(3), non_hex);
+    policy.allow("/srv/excluded-" + rng.ident(3) + "/tool", digest_hex);
+    policy.exclude("/srv/excluded-*");
     const auto index =
         keylime::PolicyIndex::build(policy, static_cast<std::uint64_t>(iter));
 
@@ -306,20 +321,36 @@ TEST_P(PolicyIndexProperty, IndexAgreesWithLinearScanEverywhere) {
           probes.emplace_back(path, hashes.front());  // policy hit
           probes.emplace_back(path, random_hash);     // hash mismatch
           probes.emplace_back(path + "x", random_hash);  // near miss
+          probes.emplace_back(path, digest_hex);  // the odd lines' digest
         });
     for (int i = 0; i < 64; ++i) {
       probes.emplace_back(testkit::gen_path(rng), random_hash);
     }
 
+    // The index must be indistinguishable from the linear scan on every
+    // input: check() on the hex string, and appraise() — verdict and
+    // `known` flag against check() — on the digest it names, whenever
+    // one does.
+    const auto diverges = [&](const keylime::PolicyIndex& idx,
+                              const std::string& path,
+                              const std::string& hash) {
+      if (idx.check(path, hash) != policy.check(path, hash)) return true;
+      crypto::Digest d{};
+      if (!hex_decode(hash, d.data(), d.size())) return false;
+      bool known_check = false, known_appraise = false;
+      const keylime::PolicyMatch checked = idx.check(path, d, &known_check);
+      const keylime::PolicyMatch appraised = idx.appraise(
+          path, d, crypto::template_hash_of(d, path), &known_appraise);
+      return checked != policy.check(path, d) || appraised != checked ||
+             known_appraise != known_check;
+    };
     for (const auto& [path, hash] : probes) {
-      if (index->check(path, hash) == policy.check(path, hash)) continue;
-      // Minimize the disagreeing path before reporting: the index and
-      // the linear scan must be indistinguishable on EVERY input.
+      if (!diverges(*index, path, hash)) continue;
+      // Minimize the disagreeing path before reporting.
       const std::string h = hash;
       const std::string minimized = testkit::shrink_text(
           path, [&](const std::string& p) {
-            return keylime::PolicyIndex::build(policy)->check(p, h) !=
-                   policy.check(p, h);
+            return diverges(*keylime::PolicyIndex::build(policy), p, h);
           });
       FAIL() << "PolicyIndex diverged from RuntimePolicy; minimized path:\n"
              << minimized << "\nhash: " << hash << "\npolicy:\n"

@@ -2,6 +2,7 @@
 // attestation under a lossy network, and protocol edge cases.
 #include <gtest/gtest.h>
 
+#include "common/hex.hpp"
 #include "core/policy_analyzer.hpp"
 #include "core/update_orchestrator.hpp"
 #include "experiments/chaos_experiment.hpp"
@@ -360,6 +361,65 @@ TEST(CheckpointTest, RestoreIgnoresUnknownFieldsFromMinorRevisions) {
                              options.verifier_config);
   ASSERT_TRUE(restored.restore(annotated).ok());
   EXPECT_EQ(restored.checkpoint().dump(), original.dump());
+}
+
+TEST(CheckpointTest, RestoreRejectsAForgedBacklogTemplateHash) {
+  // Stock semantics: the first violation halts the round, so the entry
+  // behind it lands in the backlog the checkpoint carries.
+  TestbedOptions options;
+  options.provision_extra = 10;
+  options.archive.base_package_count = 100;
+  Testbed bed(options);
+  ASSERT_TRUE(bed.enroll().ok());
+  const keylime::RuntimePolicy policy = scan_machine_policy(bed.machine, true);
+  ASSERT_TRUE(bed.verifier.set_policy(bed.agent_id(), policy).ok());
+  for (const char* path : {"/usr/local/bin/rogue", "/usr/local/bin/rogue2"}) {
+    ASSERT_TRUE(bed.machine.fs()
+                    .create_file(path, to_bytes(std::string("elf:") + path),
+                                 true)
+                    .ok());
+    ASSERT_TRUE(bed.machine.exec(path).ok());
+  }
+  ASSERT_TRUE(bed.verifier.attest_once(bed.agent_id()).ok());
+  ASSERT_EQ(bed.verifier.pending_entries(bed.agent_id()), 1u);
+
+  // Give the backlog entry the template hash of an allowed policy line.
+  // Indexed appraisal answers from that hash alone, so restoring it would
+  // let the unknown binary through as that line.
+  std::string allowed_path, allowed_hex;
+  policy.for_each_path(
+      [&](const std::string& path, const std::vector<std::string>& hashes) {
+        if (allowed_path.empty() && !policy.is_excluded(path)) {
+          allowed_path = path;
+          allowed_hex = hashes.front();
+        }
+      });
+  crypto::Digest allowed{};
+  ASSERT_TRUE(hex_decode(allowed_hex, allowed.data(), allowed.size()));
+  const json::Value genuine = bed.verifier.checkpoint();
+  json::Value forged = genuine;
+  json::Value& entry = forged.as_object()
+                           .at("agents")
+                           .as_array()
+                           .front()
+                           .as_object()
+                           .at("pending")
+                           .as_array()
+                           .front();
+  ASSERT_EQ(entry.find("path")->as_string(), "/usr/local/bin/rogue2");
+  entry.set("template_hash", crypto::digest_hex(crypto::template_hash_of(
+                                 allowed, allowed_path)));
+
+  keylime::Verifier restored(&bed.network, &bed.clock, 42 ^ 0x766572ull,
+                             options.verifier_config);
+  const std::string before = restored.checkpoint().dump();
+  const Status rejected = restored.restore(forged);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.error().code, Errc::kCorrupted);
+  EXPECT_EQ(restored.checkpoint().dump(), before)
+      << "a rejected checkpoint must leave no partial state";
+  ASSERT_TRUE(restored.restore(genuine).ok());
+  EXPECT_EQ(restored.pending_entries(bed.agent_id()), 1u);
 }
 
 // ------------------------------------------------------ chaos scenarios
