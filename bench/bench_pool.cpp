@@ -18,7 +18,9 @@
 // full push), the push fan-out (a push plus its install round on 16
 // agents must cost <2x the same on one agent), the policy digest (the
 // streamed digest must equal SHA-256 of the dumped JSON tree and cost
-// <0.5x of it) and drift against the checked-in baseline.
+// <0.5x of it) and drift against the checked-in baseline. It also runs
+// Part 3 and gates the handoff size: a moved agent's payload carries its
+// state, never its policy, so it must stay under 1 KB.
 //
 // CIA_BENCH_POOL_AGENTS / CIA_BENCH_POOL_ROUNDS override the fleet
 // shape; CIA_BENCH_POLICY_ENTRIES / CIA_BENCH_POLICY_DELTA_LINES the
@@ -313,6 +315,44 @@ ResizeBenchResult bench_resize(std::size_t from, std::size_t to,
   return result;
 }
 
+/// Handoff payload a moved agent may cost at most. The bench policy is
+/// small, but a slice that embedded it would still read ~6 KB.
+constexpr double kMaxHandoffKbPerMoved = 1.0;
+
+struct HandoffBenchResult {
+  std::size_t agents = 0;
+  std::size_t moved = 0;    // over the three ring moves
+  double kb_per_moved = 0;  // the largest over the three ring moves
+};
+
+/// Part 3 over three ring moves, printed as a table.
+HandoffBenchResult bench_handoffs(std::size_t agents) {
+  std::printf("Live resharding cost (%zu agents with warm state)\n\n",
+              agents);
+  std::printf(
+      "  resize      moved    wall_ms   ms/moved   payload_KB   KB/moved\n");
+  struct Shape {
+    std::size_t from, to;
+  };
+  HandoffBenchResult result;
+  result.agents = agents;
+  for (const Shape shape : {Shape{2, 4}, Shape{4, 8}, Shape{8, 2}}) {
+    const ResizeBenchResult r = bench_resize(shape.from, shape.to, agents);
+    const double kb = static_cast<double>(r.bytes) / 1024.0;
+    const double kb_per_moved =
+        r.moved > 0 ? kb / static_cast<double>(r.moved) : 0.0;
+    result.moved += r.moved;
+    result.kb_per_moved = std::max(result.kb_per_moved, kb_per_moved);
+    std::printf(
+        "  %zu -> %-5zu %6zu   %8.1f   %8.2f   %10.1f   %8.2f\n",
+        shape.from, shape.to, r.moved, r.ms,
+        r.moved > 0 ? r.ms / static_cast<double>(r.moved) : 0.0, kb,
+        kb_per_moved);
+  }
+  std::printf("\n");
+  return result;
+}
+
 // ---------------------------------------------------------------------
 // Part 4: delta push vs full push at the paper's §III-C shape.
 //
@@ -585,7 +625,8 @@ DeltaBenchResult bench_policy_delta(std::size_t entries, std::size_t reps) {
   return result;
 }
 
-json::Value delta_bench_to_json(const DeltaBenchResult& r) {
+json::Value delta_bench_to_json(const DeltaBenchResult& r,
+                                const HandoffBenchResult& h) {
   json::Value doc;
   doc.set("bench", "policy_delta");
   doc.set("base_entries", static_cast<std::int64_t>(r.base_entries));
@@ -611,6 +652,10 @@ json::Value delta_bench_to_json(const DeltaBenchResult& r) {
   ratios.set("fanout", r.fanout);
   ratios.set("digest", r.digest_ratio);
   doc.set("ratios", std::move(ratios));
+  json::Value handoff;
+  handoff.set("agents", static_cast<std::int64_t>(h.agents));
+  handoff.set("kb_per_moved", h.kb_per_moved);
+  doc.set("handoff", std::move(handoff));
   return doc;
 }
 
@@ -642,7 +687,7 @@ void print_delta_bench(const DeltaBenchResult& r) {
 // the baseline adds a drift check on top so a slow regression inside the
 // gate still trips CI.
 int run_policy_check(const std::string& baseline_path, double tolerance,
-                     const DeltaBenchResult& r) {
+                     const DeltaBenchResult& r, const HandoffBenchResult& h) {
   if (r.diverged) return 1;
   std::printf("Gate check vs %s (drift tolerance %.0f%%)\n",
               baseline_path.c_str(), tolerance * 100);
@@ -657,6 +702,13 @@ int run_policy_check(const std::string& baseline_path, double tolerance,
   gate("index-build ratio", r.build_ratio, 0.10);
   gate("push fan-out", r.fanout, 2.0);
   gate("digest ratio", r.digest_ratio, 0.5);
+  // A resize that moved nobody would pass vacuously.
+  const bool handoff_ok =
+      h.moved > 0 && h.kb_per_moved < kMaxHandoffKbPerMoved;
+  std::printf("  %-22s %s  %.2f KB vs hard limit %.0f KB\n",
+              "handoff per moved", handoff_ok ? "PASS" : "FAIL",
+              h.kb_per_moved, kMaxHandoffKbPerMoved);
+  if (!handoff_ok) ++failures;
 
   std::ifstream in(baseline_path);
   if (!in) {
@@ -730,14 +782,18 @@ int main(int argc, char** argv) {
   const std::size_t policy_entries =
       env_size("CIA_BENCH_POLICY_ENTRIES", 300000);
   const std::size_t policy_reps = env_size("CIA_BENCH_POLICY_REPS", 3);
+  const std::size_t resize_agents =
+      env_size("CIA_BENCH_POOL_RESIZE_AGENTS", 400);
 
-  // --check is the CI gate: only the ratio-pinned Part 4 runs (Parts 1-3
-  // report host-dependent throughput with no baseline to gate against).
+  // --check is the CI gate: only the ratio-pinned Part 4 and the
+  // byte-counted Part 3 run (Parts 1-2 report host-dependent throughput
+  // with no baseline to gate against).
   if (check_mode) {
+    const HandoffBenchResult hr = bench_handoffs(resize_agents);
     const DeltaBenchResult dr =
         bench_policy_delta(policy_entries, policy_reps);
     print_delta_bench(dr);
-    return run_policy_check(baseline_path, tolerance, dr);
+    return run_policy_check(baseline_path, tolerance, dr, hr);
   }
 
   std::printf("PolicyIndex vs linear scan (one policy revision)\n\n");
@@ -782,30 +838,16 @@ int main(int argc, char** argv) {
       "  indexed-appraisal win on this host; on a multi-core verifier the\n"
       "  shard parallelism multiplies it by up to the core count.\n");
 
-  const std::size_t resize_agents =
-      env_size("CIA_BENCH_POOL_RESIZE_AGENTS", 400);
-  std::printf("\nLive resharding cost (%zu agents with warm state)\n\n",
-              resize_agents);
+  std::printf("\n");
+  const HandoffBenchResult hr = bench_handoffs(resize_agents);
   std::printf(
-      "  resize      moved    wall_ms   ms/moved   payload_KB   KB/moved\n");
-  struct Shape {
-    std::size_t from, to;
-  };
-  for (const Shape shape : {Shape{2, 4}, Shape{4, 8}, Shape{8, 2}}) {
-    const ResizeBenchResult r = bench_resize(shape.from, shape.to,
-                                             resize_agents);
-    const double kb = static_cast<double>(r.bytes) / 1024.0;
-    std::printf(
-        "  %zu -> %-5zu %6zu   %8.1f   %8.2f   %10.1f   %8.2f\n",
-        shape.from, shape.to, r.moved, r.ms,
-        r.moved > 0 ? r.ms / static_cast<double>(r.moved) : 0.0, kb,
-        r.moved > 0 ? kb / static_cast<double>(r.moved) : 0.0);
-  }
-  std::printf(
-      "\n  only ring-moved agents pay a handoff; the rest of the fleet\n"
+      "  only ring-moved agents pay a handoff; the rest of the fleet\n"
       "  never blocks beyond the round-boundary drain. ms/moved is the\n"
       "  marginal cost of migrating one agent's full verification state\n"
-      "  (log cursor, audit tail, scheduler slot) over the handoff link.\n\n");
+      "  (log cursor, audit tail, scheduler slot) over the handoff link;\n"
+      "  the policy binding moves by reference, so KB/moved is gated\n"
+      "  below %.0f KB by `bench_pool --check`.\n\n",
+      kMaxHandoffKbPerMoved);
 
   const DeltaBenchResult dr = bench_policy_delta(policy_entries, policy_reps);
   print_delta_bench(dr);
@@ -820,7 +862,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_pool: cannot write %s\n", out_path.c_str());
     return 2;
   }
-  out << delta_bench_to_json(dr).pretty() << "\n";
+  out << delta_bench_to_json(dr, hr).pretty() << "\n";
   std::printf("\n  wrote %s\n", out_path.c_str());
   return dr.diverged ? 1 : 0;
 }

@@ -1,8 +1,9 @@
 // Live-resharding handoff payload: one agent's complete verification
 // state in flight between two shards of a VerifierPool.
 //
-// The payload carries the agent's checkpoint slice (Verifier::
-// export_agent), its polling schedule, and the ring move it implements.
+// The payload carries the agent's state slice (Verifier::export_agent:
+// agent state, not its policy — the destination binds the revision the
+// pool hands it), its polling schedule, and the ring move it implements.
 // The wire form is JSON over the pool's dedicated handoff network, which
 // injects the same faults as any other netsim link — so decode() is an
 // untrusted parse surface: a hostile or truncated payload must be

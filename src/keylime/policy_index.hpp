@@ -230,8 +230,10 @@ class PolicyIndex {
 /// together, so a stale index can never outlive its policy.
 struct PolicyRevision {
   RuntimePolicy policy;
-  /// Null only for an unindexed revision (a solo Verifier::set_policy or
-  /// a slice rebuilt from JSON): appraisal then scans the policy linearly.
+  /// Null only for an unindexed revision (a solo Verifier::set_policy,
+  /// which pays no index build for a one-agent push, or the shared empty
+  /// revision): appraisal then scans the policy linearly. restore()
+  /// indexes what it rebuilds from a checkpoint.
   std::shared_ptr<const PolicyIndex> index;
 
   /// What Alert::policy_revision carries: the index's tag, 0 unindexed.

@@ -275,23 +275,6 @@ void RuntimePolicy::for_each_path(
   for (const auto& [path, hashes] : allow_) fn(path, hashes);
 }
 
-Status PolicySink::set_policy_bulk(const std::vector<std::string>& agent_ids,
-                                   const RuntimePolicy& policy) {
-  for (const std::string& id : agent_ids) {
-    if (Status s = set_policy(id, policy); !s.ok()) return s;
-  }
-  return Status::ok_status();
-}
-
-Status PolicySink::push_revision(const std::vector<std::string>& agent_ids,
-                                 const RuntimePolicy& policy,
-                                 const std::string& digest,
-                                 const policy_store::PolicyDelta* delta) {
-  (void)digest;
-  (void)delta;
-  return set_policy_bulk(agent_ids, policy);
-}
-
 const std::vector<std::string>* RuntimePolicy::hashes_for(
     const std::string& path) const {
   auto it = allow_.find(path);

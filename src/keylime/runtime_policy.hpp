@@ -142,27 +142,16 @@ class PolicySink {
  public:
   virtual ~PolicySink() = default;
 
-  /// Install/replace the runtime policy for one agent.
-  virtual Status set_policy(const std::string& agent_id,
-                            RuntimePolicy policy) = 0;
-
-  /// Install one policy on many agents. The default loops set_policy;
-  /// sharded implementations override it to build the shared lookup
-  /// index once per policy revision instead of once per agent.
-  virtual Status set_policy_bulk(const std::vector<std::string>& agent_ids,
-                                 const RuntimePolicy& policy);
-
   /// Push one content-addressed revision to many agents. `digest` is
   /// policy_store::policy_digest(policy); `delta` (may be null) rebases
-  /// it from the previously pushed revision. The default ignores both
-  /// and does a full set_policy_bulk; sharded sinks override it to patch
-  /// their lookup index incrementally when the delta's base digest
-  /// matches the revision they last built, instead of re-indexing 300k
-  /// entries for a 1.3k-entry daily update (the paper's §III-C shape).
+  /// it from the previously pushed revision. A sink may use both to patch
+  /// its lookup index incrementally when the delta's base digest matches
+  /// the revision it last built, instead of re-indexing 300k entries for
+  /// a 1.3k-entry daily update (the paper's §III-C shape).
   virtual Status push_revision(const std::vector<std::string>& agent_ids,
                                const RuntimePolicy& policy,
                                const std::string& digest,
-                               const policy_store::PolicyDelta* delta);
+                               const policy_store::PolicyDelta* delta) = 0;
 };
 
 }  // namespace cia::keylime

@@ -1,5 +1,6 @@
 #include "keylime/verifier.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 
@@ -144,12 +145,13 @@ Status Verifier::set_revision(const std::string& agent_id,
   return Status::ok_status();
 }
 
-Status Verifier::set_policy_bulk(const std::vector<std::string>& agent_ids,
-                                 const RuntimePolicy& policy) {
-  // One shared revision for the whole batch. The default PolicySink loop
-  // would call set_policy per agent: N policy copies, and every
-  // solo-verifier agent left on the linear RuntimePolicy scan where one
-  // index build covers them all.
+Status Verifier::push_revision(const std::vector<std::string>& agent_ids,
+                               const RuntimePolicy& policy,
+                               const std::string& /*digest*/,
+                               const policy_store::PolicyDelta* /*delta*/) {
+  // One shared revision for the whole batch. A set_policy per agent
+  // would cost N policy copies, and leave every solo-verifier agent on
+  // the linear RuntimePolicy scan where one index build covers them all.
   const auto revision = PolicyRevision::make(
       policy, PolicyIndex::build(policy, ++bulk_revision_));
   for (const std::string& id : agent_ids) {
@@ -701,7 +703,6 @@ json::Value Verifier::agent_to_json(const std::string& agent_id,
   a.set("id", agent_id);
   a.set("address", rec.address);
   a.set("ak", to_hex(rec.ak.encode()));
-  a.set("policy", rec.revision->policy.to_json());
   a.set("state", rec.state == AgentState::kFailed ? "failed" : "attesting");
   a.set("log_offset", static_cast<std::int64_t>(rec.log_offset));
   a.set("accumulated_pcr", crypto::digest_hex(rec.accumulated_pcr));
@@ -753,7 +754,11 @@ json::Value Verifier::checkpoint() const {
   doc.set("version", kCheckpointVersion);
   json::Value agents{json::Array{}};
   for (const auto& [id, rec] : agents_) {
-    agents.push_back(agent_to_json(id, rec));
+    // A checkpoint must restore on its own, so unlike a migration slice
+    // it carries the bound policy.
+    json::Value a = agent_to_json(id, rec);
+    a.set("policy", rec.revision->policy.to_json());
+    agents.push_back(std::move(a));
   }
   doc.set("agents", std::move(agents));
   doc.set("audit", export_audit_chain(audit_.records(), audit_.public_key()));
@@ -811,10 +816,33 @@ Status Verifier::restore(const json::Value& doc) {
 
   std::map<std::string, AgentRecord> restored;
   std::map<std::string, AuditLog::AgentTail> tails;
+  // One shared indexed revision per distinct embedded policy: a shard's
+  // agents mostly hold the same one, so compare the JSON before parsing
+  // and parse and index each distinct policy once.
+  std::vector<std::pair<const json::Value*,
+                        std::shared_ptr<const PolicyRevision>>>
+      revisions;
   for (const json::Value& a : agents_field->as_array()) {
     auto slice = agent_from_json(a);
     if (!slice.ok()) return slice.error();
     ParsedAgentSlice parsed = std::move(slice).take();
+    const json::Value* policy_field = a.find("policy");
+    if (!policy_field) {
+      return err(Errc::kCorrupted, "checkpoint: agent missing fields");
+    }
+    auto seen = std::find_if(
+        revisions.begin(), revisions.end(),
+        [&](const auto& r) { return *r.first == *policy_field; });
+    if (seen == revisions.end()) {
+      auto policy = RuntimePolicy::from_json(*policy_field);
+      if (!policy.ok()) return policy.error();
+      auto index = PolicyIndex::build(policy.value());
+      revisions.emplace_back(
+          policy_field,
+          PolicyRevision::make(std::move(policy).take(), std::move(index)));
+      seen = revisions.end() - 1;
+    }
+    parsed.record.revision = seen->second;
     if (parsed.tail) tails[parsed.id] = *parsed.tail;
     restored[parsed.id] = std::move(parsed.record);
   }
@@ -838,15 +866,13 @@ Result<Verifier::ParsedAgentSlice> Verifier::agent_from_json(
   const json::Value* address =
       checkpoint_field(a, "address", &json::Value::is_string);
   const json::Value* ak = checkpoint_field(a, "ak", &json::Value::is_string);
-  const json::Value* policy_field = a.find("policy");
   const json::Value* state =
       checkpoint_field(a, "state", &json::Value::is_string);
   const json::Value* log_offset =
       checkpoint_field(a, "log_offset", &json::Value::is_number);
   const json::Value* boot_count =
       checkpoint_field(a, "boot_count", &json::Value::is_number);
-  if (!id || !address || !ak || !policy_field || !state || !log_offset ||
-      !boot_count) {
+  if (!id || !address || !ak || !state || !log_offset || !boot_count) {
     return err(Errc::kCorrupted, "checkpoint: agent missing fields");
   }
   ParsedAgentSlice parsed;
@@ -861,9 +887,6 @@ Result<Verifier::ParsedAgentSlice> Verifier::agent_from_json(
   auto ak_key = crypto::PublicKey::decode(ak_bytes.value());
   if (!ak_key) return err(Errc::kCorrupted, "checkpoint: bad AK encoding");
   rec.ak = *ak_key;
-  auto policy = RuntimePolicy::from_json(*policy_field);
-  if (!policy.ok()) return policy.error();
-  rec.revision = PolicyRevision::make(std::move(policy).take(), nullptr);
   if (state->as_string() == "failed") {
     rec.state = AgentState::kFailed;
   } else if (state->as_string() == "attesting") {
@@ -995,10 +1018,15 @@ Result<json::Value> Verifier::export_agent(const std::string& agent_id) const {
   return agent_to_json(agent_id, it->second);
 }
 
-Status Verifier::import_agent(const json::Value& slice) {
+Status Verifier::import_agent(const json::Value& slice,
+                              std::shared_ptr<const PolicyRevision> revision) {
+  if (revision == nullptr) {
+    return err(Errc::kInvalidArgument, "null policy revision for import");
+  }
   auto parsed = agent_from_json(slice);
   if (!parsed.ok()) return parsed.error();
   ParsedAgentSlice p = std::move(parsed).take();
+  p.record.revision = std::move(revision);
   // All validation is done; commit atomically. Replace-by-id makes a
   // duplicated handoff message harmless.
   if (p.tail) audit_.set_agent_tail(p.id, *p.tail);

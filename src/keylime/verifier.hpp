@@ -147,11 +147,11 @@ class Verifier : public PolicySink {
   /// from the registrar; fails if the agent is not activated there.
   Status add_agent(const std::string& agent_id, const std::string& address);
 
-  /// Install/replace the runtime policy for an agent (the dynamic policy
-  /// generator pushes through here before each scheduled update). The
-  /// policy moves into a fresh unindexed revision — a plain push has no
-  /// index, so appraisal scans RuntimePolicy::check until one is bound.
-  Status set_policy(const std::string& agent_id, RuntimePolicy policy) override;
+  /// Install/replace the runtime policy for one agent. The policy moves
+  /// into a fresh unindexed revision, so appraisal scans
+  /// RuntimePolicy::check until an indexed one is bound: an operator's
+  /// one-agent push pays no index build.
+  Status set_policy(const std::string& agent_id, RuntimePolicy policy);
 
   /// Bind an agent to a shared revision (the VerifierPool path: one
   /// revision per push, shared read-only across every shard and agent it
@@ -161,13 +161,13 @@ class Verifier : public PolicySink {
   Status set_revision(const std::string& agent_id,
                       std::shared_ptr<const PolicyRevision> revision);
 
-  /// Bulk push with dedupe: builds ONE indexed revision for the batch and
-  /// binds every listed agent to it. The solo-verifier counterpart of the
-  /// pool's shared push — the orchestrator's bulk pushes land here when
-  /// the sink is a plain Verifier, so its agents get indexed appraisal
-  /// too instead of the linear fallback set_policy leaves behind.
-  Status set_policy_bulk(const std::vector<std::string>& agent_ids,
-                         const RuntimePolicy& policy) override;
+  /// PolicySink: builds ONE indexed revision for the batch and binds
+  /// every listed agent to it, so a solo verifier's agents get indexed
+  /// appraisal too. Every push is a full build; digest and delta are
+  /// not used.
+  Status push_revision(const std::vector<std::string>& agent_ids,
+                       const RuntimePolicy& policy, const std::string& digest,
+                       const policy_store::PolicyDelta* delta) override;
 
   /// The revision an agent is bound to (nullptr for an unknown agent;
   /// never null otherwise — an agent with no policy holds
@@ -258,18 +258,21 @@ class Verifier : public PolicySink {
   static constexpr int kCheckpointVersion = 2;
 
   /// Serialize the verifier's complete working state — every enrolled
-  /// agent's record (pinned AK, policy, refstates, incremental log
-  /// cursor, quarantine/failure state, unevaluated entries) plus the
-  /// audit chain — to a JSON document. A verifier constructed with the
-  /// same seed can restore() it after a crash and resume mid-fleet
-  /// without duplicate alerts or a forked audit chain.
+  /// agent's slice (pinned AK, refstates, incremental log cursor,
+  /// quarantine/failure state, unevaluated entries) plus its bound
+  /// policy under "policy", and the audit chain — to a JSON document. A
+  /// verifier constructed with the same seed can restore() it after a
+  /// crash and resume mid-fleet without duplicate alerts or a forked
+  /// audit chain.
   json::Value checkpoint() const;
 
   /// Restore state from a checkpoint() document. The embedded audit
   /// chain must verify under this verifier's own signing key (same seed
   /// as the crashed instance). Replaces all agent state and alerts are
   /// NOT replayed — a restored FAILED agent stays failed, a restored
-  /// healthy agent resumes at its saved log offset.
+  /// healthy agent resumes at its saved log offset. Agents with equal
+  /// embedded policies share one indexed revision, tagged 0: the
+  /// checkpoint does not carry the pushed tag.
   Status restore(const json::Value& doc);
 
   /// Register a revocation notifier; fired on kAttesting -> kFailed
@@ -291,20 +294,24 @@ class Verifier : public PolicySink {
       std::uint64_t min_rounds) const;
 
   // ------------------------------------------- single-agent state slices
-  // The unit of live migration: one agent's record in exactly the shape
-  // checkpoint() embeds it, plus the agent's audit sub-chain tail and
-  // nonce counter, so the importing verifier continues the agent's
-  // attestation history without a seam.
+  // The unit of live migration: one agent's record in the shape
+  // checkpoint() embeds it, minus the policy, plus the agent's audit
+  // sub-chain tail and nonce counter, so the importing verifier
+  // continues the agent's attestation history without a seam. The
+  // policy binding moves by reference, whatever the policy's size.
 
   /// Serialize one enrolled agent's complete slice.
   Result<json::Value> export_agent(const std::string& agent_id) const;
 
-  /// Adopt an agent slice produced by export_agent on another verifier.
-  /// Fully validates before touching any state — a rejected slice leaves
-  /// this verifier byte-identical — and is idempotent: re-importing the
-  /// same slice (a duplicated handoff message) replaces the record with
+  /// Adopt an agent slice produced by export_agent on another verifier
+  /// and bind it to `revision` (a pool passes the revision the agent's
+  /// owning shard holds). A null revision is kInvalidArgument. Fully
+  /// validates before touching any state — a rejected slice leaves this
+  /// verifier byte-identical — and is idempotent: re-importing the same
+  /// slice (a duplicated handoff message) replaces the record with
   /// identical contents.
-  Status import_agent(const json::Value& slice);
+  Status import_agent(const json::Value& slice,
+                      std::shared_ptr<const PolicyRevision> revision);
 
   /// Drop an agent (it migrated away or unenrolled). Its audit records
   /// stay — history is append-only — but its sub-chain tail is released
@@ -331,8 +338,9 @@ class Verifier : public PolicySink {
     std::deque<std::pair<std::uint64_t, ima::LogEntry>> pending;  // unevaluated
   };
 
-  /// A fully parsed agent slice: the record plus the audit sub-chain tail
-  /// it carries (absent in v1 checkpoints).
+  /// A fully parsed agent slice: the record, still bound to
+  /// PolicyRevision::empty(), plus the audit sub-chain tail it carries
+  /// (absent in v1 checkpoints).
   struct ParsedAgentSlice {
     std::string id;
     AgentRecord record;

@@ -41,6 +41,14 @@ std::string handoff_address(std::size_t shard) {
   return "shard:" + std::to_string(shard);
 }
 
+/// Virtual points per shard on the consistent-hash ring; more points
+/// smooth the partition at the cost of a larger ring.
+constexpr std::size_t kRingReplicas = 64;
+
+/// Handoff delivery attempts per migrated agent before the migration
+/// falls back to clean re-enrollment on the destination shard.
+constexpr std::size_t kMigrationAttempts = 3;
+
 /// Per-shard verifier config: unless the caller pinned one, every shard
 /// gets the SAME nonce seed (derived from the pool seed alone). Nonce
 /// streams are per-agent counters over this seed, so an agent's quote
@@ -77,8 +85,7 @@ VerifierPool::Shard::Shard(std::uint64_t pool_seed, std::size_t shard_index,
                     ? std::make_unique<netsim::RetryingTransport>(
                           &network, &clock,
                           pool_seed ^ 3 ^ (0xbf58476d1ce4e5b9ULL *
-                                           (shard_index + 1)),
-                          config.retry)
+                                           (shard_index + 1)))
                     : nullptr),
       scheduler(&verifier, &clock, config.scheduler) {
   if (transport) verifier.use_transport(transport.get());
@@ -87,8 +94,6 @@ VerifierPool::Shard::Shard(std::uint64_t pool_seed, std::size_t shard_index,
 VerifierPool::VerifierPool(std::uint64_t seed, VerifierPoolConfig config)
     : seed_(seed), config_(config) {
   if (config_.shards == 0) config_.shards = 1;
-  if (config_.ring_replicas == 0) config_.ring_replicas = 1;
-  if (config_.migration_attempts == 0) config_.migration_attempts = 1;
   handoff_net_ =
       std::make_unique<netsim::SimNetwork>(&handoff_clock_, seed_ ^ 0xda7aULL);
   shards_.reserve(config_.shards);
@@ -105,9 +110,9 @@ VerifierPool::~VerifierPool() = default;
 
 void VerifierPool::rebuild_ring_locked(std::size_t active) {
   ring_.clear();
-  ring_.reserve(active * config_.ring_replicas);
+  ring_.reserve(active * kRingReplicas);
   for (std::size_t s = 0; s < active; ++s) {
-    for (std::size_t r = 0; r < config_.ring_replicas; ++r) {
+    for (std::size_t r = 0; r < kRingReplicas; ++r) {
       const std::string point =
           "shard-" + std::to_string(s) + "-" + std::to_string(r);
       ring_.emplace_back(ring_hash(point), static_cast<std::uint32_t>(s));
@@ -677,8 +682,8 @@ VerifierPool::MigrationResult VerifierPool::migrate_agent(
 
   // The policy binding moves by reference, not through the payload: the
   // pool owns both shards in one process, so the destination is bound to
-  // the exact revision object the source held. The slice's embedded
-  // policy is only ever a hostile-input parse surface here.
+  // the exact revision object the source held (accept_migration binds it
+  // on delivery; the fallback below binds it after re-enrollment).
   const std::shared_ptr<const PolicyRevision> revision =
       src.verifier.revision(agent_id);
   auto slice = src.verifier.export_agent(agent_id);
@@ -713,8 +718,7 @@ VerifierPool::MigrationResult VerifierPool::migrate_agent(
   const Bytes wire = payload.encode();
   const SimTime handoff_started = handoff_clock_.now();
   bool delivered = false;
-  for (std::size_t attempt = 0; attempt < config_.migration_attempts;
-       ++attempt) {
+  for (std::size_t attempt = 0; attempt < kMigrationAttempts; ++attempt) {
     if (attempt > 0) {
       ++migration_.retries;
       if (metrics_) {
@@ -742,7 +746,6 @@ VerifierPool::MigrationResult VerifierPool::migrate_agent(
 
   if (delivered) {
     commit_move();
-    (void)dst.verifier.set_revision(agent_id, revision);
     if (metrics_) {
       metrics_
           ->histogram("cia_pool_migration_bytes", {},
@@ -771,8 +774,7 @@ VerifierPool::MigrationResult VerifierPool::migrate_agent(
   // add_agent probes it.
   move_endpoint(src, dst, *addr);
   bool enrolled = false;
-  for (std::size_t attempt = 0; attempt < config_.migration_attempts;
-       ++attempt) {
+  for (std::size_t attempt = 0; attempt < kMigrationAttempts; ++attempt) {
     Status st = dst.verifier.add_agent(agent_id, *addr);
     // kAlreadyExists: a handoff attempt WAS applied on the destination
     // but every acknowledgement back to us was lost or tampered. The
@@ -828,9 +830,15 @@ Result<Bytes> VerifierPool::accept_migration(std::size_t shard,
     return err(Errc::kProtocolViolation, "handoff: misrouted payload");
   }
   Shard& dst = *shard_ptr(shard);
-  // import_agent validates the slice in full before touching any state
-  // and replaces by id, so a duplicated delivery re-applies idempotently.
-  if (Status st = dst.verifier.import_agent(p.agent_slice); !st.ok()) {
+  // Bind the revision the owning shard holds, found by the pool's own
+  // record, not the payload's source_shard: an unknown agent has none,
+  // and import_agent refuses a null one. import_agent validates the
+  // slice in full before touching any state and replaces by id, so a
+  // duplicated delivery re-applies idempotently.
+  const std::shared_ptr<const PolicyRevision> revision =
+      shard_ptr(owner_of(p.agent_id))->verifier.revision(p.agent_id);
+  if (Status st = dst.verifier.import_agent(p.agent_slice, revision);
+      !st.ok()) {
     return st.error();
   }
   dst.scheduler.adopt(p.agent_id, p.schedule);

@@ -72,19 +72,12 @@ class RolloutHook {
 
 struct VerifierPoolConfig {
   std::size_t shards = 4;
-  /// Virtual points per shard on the consistent-hash ring; more points
-  /// smooth the partition at the cost of a larger ring.
-  std::size_t ring_replicas = 64;
   VerifierConfig verifier;
   SchedulerConfig scheduler;
-  /// Stack a RetryingTransport between each shard verifier and its
-  /// network so transient chaos faults are retried before they surface
-  /// as comms alerts.
+  /// Stack a RetryingTransport (default RetryPolicy) between each shard
+  /// verifier and its network so transient chaos faults are retried
+  /// before they surface as comms alerts.
   bool retrying_transport = true;
-  netsim::RetryPolicy retry;
-  /// Handoff delivery attempts per migrated agent before the migration
-  /// falls back to clean re-enrollment on the destination shard.
-  std::size_t migration_attempts = 3;
 };
 
 class VerifierPool : public PolicySink {
@@ -170,19 +163,19 @@ class VerifierPool : public PolicySink {
   // Thread-safe (mailbox + copy-on-write revision swap); may be called
   // while a round is in flight.
 
-  /// PolicySink: route one agent's policy to its owning shard. Builds a
-  /// fresh indexed revision for the agent.
-  Status set_policy(const std::string& agent_id, RuntimePolicy policy) override;
+  /// Route one agent's policy to its owning shard. Builds a fresh
+  /// indexed revision for the agent.
+  Status set_policy(const std::string& agent_id, RuntimePolicy policy);
 
   /// One shared revision for the whole batch — one policy copy and one
   /// index build, shared read-only by every covered agent on every shard.
   Status set_policy_bulk(const std::vector<std::string>& agent_ids,
-                         const RuntimePolicy& policy) override;
+                         const RuntimePolicy& policy);
 
   /// set_policy_bulk over every enrolled agent.
   Status set_fleet_policy(const RuntimePolicy& policy);
 
-  /// Content-addressed push. Three cost tiers, cheapest first:
+  /// PolicySink: content-addressed push. Three cost tiers, cheapest first:
   ///   * `digest` equals the head revision's — the head revision object
   ///     itself is mailed (zero copies, zero builds; how a staged rollout
   ///     promotes the canary revision fleet-wide for free);

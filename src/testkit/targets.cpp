@@ -360,7 +360,9 @@ FuzzOutcome run_migration(const Bytes& input) {
   // The receiving shard applies a decoded payload via import_agent, which
   // must be transactional: a rejected slice leaves the destination
   // verifier byte-identical (a partial apply here is a forked audit
-  // chain waiting to happen). A long-lived rig keeps executions cheap;
+  // chain waiting to happen). The slice carries no policy, so the rig
+  // binds the shared empty revision, as a pool binds the one the
+  // agent's owning shard holds. A long-lived rig keeps executions cheap;
   // the baseline restore keeps them deterministic.
   struct ImportRig {
     SimClock clock;
@@ -372,7 +374,8 @@ FuzzOutcome run_migration(const Bytes& input) {
   static ImportRig* rig = new ImportRig();
 
   const std::string before = rig->dst.checkpoint().dump();
-  if (rig->dst.import_agent(p.agent_slice).ok()) {
+  if (rig->dst.import_agent(p.agent_slice, keylime::PolicyRevision::empty())
+          .ok()) {
     if (!backlog_hashes_are_own(p.agent_slice)) {
       return FuzzOutcome::violation(
           "import_agent() admitted a backlog entry whose template hash is "

@@ -305,13 +305,152 @@ TEST_F(Rig, ImportRejectsAForgedBacklogTemplateHash) {
 
   Verifier dst(&network, &clock, 11);
   const std::string before = dst.checkpoint().dump();
-  const Status rejected = dst.import_agent(forged);
+  const Status rejected =
+      dst.import_agent(forged, verifier.revision("node0"));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.error().code, Errc::kCorrupted);
   EXPECT_EQ(dst.checkpoint().dump(), before)
       << "a rejected slice must leave no partial state";
-  ASSERT_TRUE(dst.import_agent(slice.value()).ok());
+  ASSERT_TRUE(dst.import_agent(slice.value(), verifier.revision("node0")).ok());
   EXPECT_EQ(dst.pending_entries("node0"), 1u);
+}
+
+// A slice is agent state only: the policy binding moves by reference, so
+// a handoff costs the same whatever the size of the policy.
+TEST_F(Rig, ExportedSliceCarriesNoPolicy) {
+  enroll();
+  ASSERT_TRUE(machine.exec("/usr/bin/ls").ok());
+  ASSERT_TRUE(verifier.attest_once("node0").ok());
+
+  const auto tools = [](int lines) {
+    RuntimePolicy p;
+    for (int i = 0; i < lines; ++i) {
+      p.allow("/usr/bin/tool-" + std::to_string(i),
+              crypto::sha256("tool-" + std::to_string(i)));
+    }
+    return p;
+  };
+  ASSERT_TRUE(verifier.set_policy("node0", tools(10)).ok());
+  auto small_slice = verifier.export_agent("node0");
+  ASSERT_TRUE(verifier.set_policy("node0", tools(20000)).ok());
+  auto large_slice = verifier.export_agent("node0");
+  ASSERT_TRUE(small_slice.ok());
+  ASSERT_TRUE(large_slice.ok());
+  EXPECT_EQ(small_slice.value().find("policy"), nullptr);
+  EXPECT_EQ(large_slice.value().find("policy"), nullptr);
+  EXPECT_EQ(small_slice.value().dump().size(),
+            large_slice.value().dump().size());
+}
+
+// The importing verifier binds the revision it is handed, and refuses to
+// bind none.
+TEST_F(Rig, ImportBindsTheGivenRevisionAndRefusesANullOne) {
+  enroll();
+  ASSERT_TRUE(verifier.attest_once("node0").ok());
+  auto slice = verifier.export_agent("node0");
+  ASSERT_TRUE(slice.ok());
+
+  Verifier dst(&network, &clock, 11);
+  const std::string before = dst.checkpoint().dump();
+  const Status rejected = dst.import_agent(slice.value(), nullptr);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.error().code, Errc::kInvalidArgument);
+  EXPECT_EQ(dst.checkpoint().dump(), before)
+      << "a refused import must leave no partial state";
+
+  const auto revision = verifier.revision("node0");
+  ASSERT_TRUE(dst.import_agent(slice.value(), revision).ok());
+  EXPECT_EQ(dst.revision("node0"), revision);
+
+  // A slice that still embeds a policy imports the same way: the reader
+  // ignores the key and binds only the revision it is handed.
+  json::Value embedded = slice.value();
+  RuntimePolicy smuggled;
+  smuggled.allow("/usr/bin/rogue", crypto::sha256(std::string("e1")));
+  embedded.set("policy", smuggled.to_json());
+  ASSERT_TRUE(Verifier::validate_agent_slice(embedded).ok());
+  Verifier other(&network, &clock, 12);
+  ASSERT_TRUE(other.import_agent(embedded, revision).ok());
+  EXPECT_EQ(other.revision("node0"), revision);
+}
+
+// Restoring a checkpoint parses and indexes each distinct embedded policy
+// once: agents that held equal policies share one indexed revision, and
+// appraisal after the restore raises exactly what it would have before.
+TEST_F(Rig, RestoreSharesOneIndexedRevisionPerDistinctPolicy) {
+  enroll();
+  oskernel::MachineConfig cfg1;
+  cfg1.hostname = "node1";
+  cfg1.seed = 2;
+  oskernel::Machine machine1(cfg1, ca, &clock);
+  Agent agent1(&machine1, &network);
+  oskernel::MachineConfig cfg2;
+  cfg2.hostname = "node2";
+  cfg2.seed = 3;
+  oskernel::Machine machine2(cfg2, ca, &clock);
+  Agent agent2(&machine2, &network);
+  for (oskernel::Machine* m : {&machine1, &machine2}) {
+    ASSERT_TRUE(m->fs().create_file("/usr/bin/ls", to_bytes("elf:ls"), true).ok());
+    ASSERT_TRUE(
+        m->fs().create_file("/usr/bin/cat", to_bytes("elf:cat"), true).ok());
+  }
+  ASSERT_TRUE(agent1.register_with(Registrar::address()).ok());
+  ASSERT_TRUE(agent2.register_with(Registrar::address()).ok());
+  ASSERT_TRUE(verifier.add_agent("node1", agent1.address()).ok());
+  ASSERT_TRUE(verifier.add_agent("node2", agent2.address()).ok());
+  // node0 and node1 hold equal policies through two separate revisions;
+  // node2 holds another policy, which allows ls only.
+  ASSERT_TRUE(verifier.set_policy("node1", baseline_policy()).ok());
+  RuntimePolicy ls_only;
+  ls_only.allow("/usr/bin/ls", crypto::sha256(std::string("elf:ls")));
+  ASSERT_TRUE(verifier.set_policy("node2", ls_only).ok());
+  ASSERT_EQ(verifier.attest_all().size(), 3u);
+
+  // Next round's traffic: cat is allowed on node0/node1 but not on node2,
+  // and a rogue binary runs on node1.
+  for (oskernel::Machine* m : {&machine, &machine1, &machine2}) {
+    ASSERT_TRUE(m->exec("/usr/bin/cat").ok());
+  }
+  ASSERT_TRUE(
+      machine1.fs().create_file("/usr/bin/rogue", to_bytes("e1"), true).ok());
+  ASSERT_TRUE(machine1.exec("/usr/bin/rogue").ok());
+
+  const json::Value checkpoint = verifier.checkpoint();
+  Verifier restored(&network, &clock, 8);
+  ASSERT_TRUE(restored.restore(checkpoint).ok());
+  EXPECT_EQ(restored.checkpoint().dump(), checkpoint.dump());
+
+  const auto r0 = restored.revision("node0");
+  const auto r1 = restored.revision("node1");
+  const auto r2 = restored.revision("node2");
+  ASSERT_NE(r0, nullptr);
+  ASSERT_NE(r2, nullptr);
+  EXPECT_EQ(r0, r1) << "equal embedded policies share one revision";
+  EXPECT_NE(r0, r2);
+  EXPECT_NE(r0->index, nullptr);
+  EXPECT_NE(r2->index, nullptr);
+  EXPECT_EQ(r0->revision(), 0u) << "a checkpoint carries no revision tag";
+
+  const std::size_t before = verifier.alerts().size();
+  ASSERT_EQ(verifier.attest_all().size(), 3u);
+  ASSERT_EQ(restored.attest_all().size(), 3u);
+  const auto summary = [](const std::vector<Alert>& alerts, std::size_t from) {
+    std::vector<std::string> out;
+    for (std::size_t i = from; i < alerts.size(); ++i) {
+      const Alert& a = alerts[i];
+      out.push_back(a.agent_id + " " + alert_type_name(a.type) + " " + a.path +
+                    " " + a.observed_hash_hex + " " + a.detail + " " +
+                    std::to_string(a.log_index) + " " +
+                    std::to_string(a.time) + " " +
+                    std::to_string(a.policy_revision));
+    }
+    return out;
+  };
+  const std::vector<std::string> original = summary(verifier.alerts(), before);
+  EXPECT_EQ(original.size(), 2u);
+  EXPECT_EQ(summary(restored.alerts(), 0), original);
+  EXPECT_GT(restored.index_stats().hits, 0u)
+      << "restored agents appraise through the index";
 }
 
 // A man-in-the-middle that forwards the agent's traffic verbatim except
