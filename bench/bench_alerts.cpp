@@ -12,9 +12,7 @@
 //
 // With --check the process exits non-zero when the attached run is more
 // than `tolerance` slower than the detached run (the CI perf-smoke
-// stage). Workload size via CIA_BENCH_ALERTS_AGENTS /
-// CIA_BENCH_ALERTS_BINARIES / CIA_BENCH_ALERTS_REPS; the defaults
-// appraise ~300k IMA entries per run.
+// stage). Each run appraises ~300k IMA entries (kAgents x kBinaries).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -31,11 +29,9 @@ namespace {
 using namespace cia;
 using namespace cia::experiments;
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-}
+constexpr std::size_t kAgents = 96;
+constexpr std::size_t kBinaries = 3200;
+constexpr std::size_t kReps = 3;
 
 struct RunResult {
   double seconds = 0;
@@ -113,20 +109,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::size_t agents = env_size("CIA_BENCH_ALERTS_AGENTS", 96);
-  const std::size_t binaries = env_size("CIA_BENCH_ALERTS_BINARIES", 3200);
-  const std::size_t reps = env_size("CIA_BENCH_ALERTS_REPS", 3);
-
   std::printf("Alert-pipeline clean-path overhead: %zu agents x %zu entries"
               " (%zu reps, best)\n",
-              agents, binaries, reps);
+              kAgents, kBinaries, kReps);
 
   double off = 1e100;
   double on = 1e100;
   std::size_t entries = 0;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    const RunResult detached = run_campaign(agents, binaries, false);
-    const RunResult attached = run_campaign(agents, binaries, true);
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    const RunResult detached = run_campaign(kAgents, kBinaries, false);
+    const RunResult attached = run_campaign(kAgents, kBinaries, true);
     off = std::min(off, detached.seconds);
     on = std::min(on, attached.seconds);
     entries = detached.entries;

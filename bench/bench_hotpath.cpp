@@ -69,11 +69,10 @@ double wall_ms(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-}
+// The round every appraisal stage runs, the size BENCH_hotpath.json was
+// recorded at, and best-of repetitions per stage.
+constexpr std::size_t kEntries = 300000;
+constexpr std::size_t kReps = 3;
 
 // ---------------------------------------------------------------------
 // The pre-rebuild SHA-256: scalar compression only (no SHA-NI dispatch)
@@ -720,26 +719,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::size_t entries = env_size("CIA_BENCH_HOTPATH_ENTRIES", 300000);
-  const std::size_t reps = env_size("CIA_BENCH_HOTPATH_REPS", 3);
   const bool hw = crypto::sha256_hw_accelerated();
 
   std::printf("Hot-path appraisal stages, %zu-entry round (%zu reps, best)\n",
-              entries, reps);
+              kEntries, kReps);
   std::printf("SHA-NI: %s\n\n", hw ? "yes" : "no (scalar dispatch)");
 
-  const Workload w = build_workload(entries);
+  const Workload w = build_workload(kEntries);
   const EcFixture ec;
 
   std::vector<StageReport> stages = {
-      {"parse", false, "entries", entries, bench_parse(w, reps)},
-      {"hash_batch", true, "entries", entries, bench_hash_batch(w, reps)},
-      {"verify_fold", true, "entries", entries, bench_verify_fold(w, reps)},
-      {"policy_probe", false, "entries", entries, bench_policy_probe(w, reps)},
-      {"end_to_end", true, "entries", entries, bench_end_to_end(w, reps)},
-      {"quote_sign", false, "ops", kEcOps, bench_quote_sign(ec, reps)},
-      {"quote_verify", false, "ops", kEcOps, bench_quote_verify(ec, reps)},
-      {"audit_append", false, "ops", kEcOps, bench_audit_append(ec, reps)},
+      {"parse", false, "entries", kEntries, bench_parse(w, kReps)},
+      {"hash_batch", true, "entries", kEntries, bench_hash_batch(w, kReps)},
+      {"verify_fold", true, "entries", kEntries, bench_verify_fold(w, kReps)},
+      {"policy_probe", false, "entries", kEntries, bench_policy_probe(w, kReps)},
+      {"end_to_end", true, "entries", kEntries, bench_end_to_end(w, kReps)},
+      {"quote_sign", false, "ops", kEcOps, bench_quote_sign(ec, kReps)},
+      {"quote_verify", false, "ops", kEcOps, bench_quote_verify(ec, kReps)},
+      {"audit_append", false, "ops", kEcOps, bench_audit_append(ec, kReps)},
   };
 
   std::printf(
@@ -792,7 +789,7 @@ int main(int argc, char** argv) {
 
   json::Value doc;
   doc.set("bench", "hotpath");
-  doc.set("entries", entries);
+  doc.set("entries", kEntries);
   doc.set("unique_files", w.unique_files);
   doc.set("sha256_hw_accelerated", hw);
   json::Value stage_obj;

@@ -22,9 +22,9 @@
 // Part 3 and gates the handoff size: a moved agent's payload carries its
 // state, never its policy, so it must stay under 1 KB.
 //
-// CIA_BENCH_POOL_AGENTS / CIA_BENCH_POOL_ROUNDS override the fleet
-// shape; CIA_BENCH_POLICY_ENTRIES / CIA_BENCH_POLICY_DELTA_LINES the
-// Part 4 policy shape.
+// The shapes are fixed (the k* sizes below): BENCH_policy.json was
+// recorded at them, so --check always gates the workload its baseline
+// measured.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -56,13 +56,12 @@ double wall_ms(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (!v) return fallback;
-  const std::size_t parsed =
-      static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-  return parsed == 0 ? fallback : parsed;
-}
+// Part 2's fleet, Part 3's resized fleet, and Part 4's policy base.
+constexpr std::size_t kFleetAgents = 1000;
+constexpr std::size_t kFleetRounds = 2;
+constexpr std::size_t kResizeAgents = 400;
+constexpr std::size_t kPolicyEntries = 300000;
+constexpr std::size_t kPolicyReps = 3;
 
 /// A production-shaped exclude list. Real deployments accumulate long
 /// lists of suffix and infix patterns (churn files: logs, caches,
@@ -469,13 +468,11 @@ DeltaBenchResult bench_policy_delta(std::size_t entries, std::size_t reps) {
   }
   result.base_entries = base.entry_count();
 
-  // A daily-update-shaped edit script, scaled to the base so the
-  // 1271-vs-323734 proportion holds at any CIA_BENCH_POLICY_ENTRIES:
-  // mostly replaced hash lists (upgraded packages), some new files, a
-  // few removals.
-  const std::size_t delta_lines = env_size(
-      "CIA_BENCH_POLICY_DELTA_LINES",
-      std::max<std::size_t>(4, (result.base_entries * 1271) / 323734));
+  // A daily-update-shaped edit script, scaled to the base in the
+  // paper's 1271-vs-323734 proportion: mostly replaced hash lists
+  // (upgraded packages), some new files, a few removals.
+  const std::size_t delta_lines =
+      std::max<std::size_t>(4, (result.base_entries * 1271) / 323734);
   const std::size_t removes = std::max<std::size_t>(1, delta_lines / 10);
   const std::size_t adds = std::max<std::size_t>(1, (delta_lines * 3) / 10);
   const std::size_t replaces =
@@ -779,19 +776,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::size_t policy_entries =
-      env_size("CIA_BENCH_POLICY_ENTRIES", 300000);
-  const std::size_t policy_reps = env_size("CIA_BENCH_POLICY_REPS", 3);
-  const std::size_t resize_agents =
-      env_size("CIA_BENCH_POOL_RESIZE_AGENTS", 400);
-
   // --check is the CI gate: only the ratio-pinned Part 4 and the
   // byte-counted Part 3 run (Parts 1-2 report host-dependent throughput
   // with no baseline to gate against).
   if (check_mode) {
-    const HandoffBenchResult hr = bench_handoffs(resize_agents);
-    const DeltaBenchResult dr =
-        bench_policy_delta(policy_entries, policy_reps);
+    const HandoffBenchResult hr = bench_handoffs(kResizeAgents);
+    const DeltaBenchResult dr = bench_policy_delta(kPolicyEntries, kPolicyReps);
     print_delta_bench(dr);
     return run_policy_check(baseline_path, tolerance, dr, hr);
   }
@@ -803,14 +793,13 @@ int main(int argc, char** argv) {
               ib.entries, ib.probes, ib.build_ms, ib.linear_ms, ib.indexed_ms,
               ib.indexed_ms > 0 ? ib.linear_ms / ib.indexed_ms : 0.0);
 
-  const std::size_t agents = env_size("CIA_BENCH_POOL_AGENTS", 1000);
-  const std::size_t rounds = env_size("CIA_BENCH_POOL_ROUNDS", 2);
   std::printf("Fleet attestation throughput (%zu agents, %zu rounds)\n\n",
-              agents, rounds);
+              kFleetAgents, kFleetRounds);
   std::printf(
       "  config                        polls   round_virt_s   polls/virt_s"
       "   speedup   wall_ms   polls/s\n");
-  const FleetBenchResult base = bench_fleet(1, /*indexed=*/false, agents, rounds);
+  const FleetBenchResult base =
+      bench_fleet(1, /*indexed=*/false, kFleetAgents, kFleetRounds);
   const double base_vrate =
       base.virtual_elapsed > 0
           ? static_cast<double>(base.polls) / base.virtual_elapsed
@@ -821,7 +810,8 @@ int main(int argc, char** argv) {
       base.polls, static_cast<long long>(base.virtual_elapsed), base_vrate,
       base.ms, base_rate);
   for (const std::size_t shards : {2u, 4u, 8u}) {
-    const FleetBenchResult r = bench_fleet(shards, /*indexed=*/true, agents, rounds);
+    const FleetBenchResult r =
+        bench_fleet(shards, /*indexed=*/true, kFleetAgents, kFleetRounds);
     const double vrate = r.virtual_elapsed > 0
                              ? static_cast<double>(r.polls) / r.virtual_elapsed
                              : 0;
@@ -839,7 +829,7 @@ int main(int argc, char** argv) {
       "  shard parallelism multiplies it by up to the core count.\n");
 
   std::printf("\n");
-  const HandoffBenchResult hr = bench_handoffs(resize_agents);
+  const HandoffBenchResult hr = bench_handoffs(kResizeAgents);
   std::printf(
       "  only ring-moved agents pay a handoff; the rest of the fleet\n"
       "  never blocks beyond the round-boundary drain. ms/moved is the\n"
@@ -849,7 +839,7 @@ int main(int argc, char** argv) {
       "  below %.0f KB by `bench_pool --check`.\n\n",
       kMaxHandoffKbPerMoved);
 
-  const DeltaBenchResult dr = bench_policy_delta(policy_entries, policy_reps);
+  const DeltaBenchResult dr = bench_policy_delta(kPolicyEntries, kPolicyReps);
   print_delta_bench(dr);
   std::printf(
       "  a delta push moves the base digest + patched lines and patches\n"

@@ -281,6 +281,11 @@ ChaosReport run_chaos_experiment(const ChaosOptions& options) {
           report.verifier_restarted = true;
         }
         report.polls += scheduler.tick();
+        if (options.metrics) {
+          keylime::AttestationScheduler::publish_health(
+              *options.metrics, scheduler.healthy_count(),
+              scheduler.backing_off_count());
+        }
       }
     }
   }

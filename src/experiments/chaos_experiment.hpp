@@ -97,8 +97,8 @@ struct ChaosReport {
   bool checkpoint_roundtrip_ok = true;
 };
 
-/// The named fault scripts (bench_chaos iterates over them; each has a
-/// scenarios/chaos-NAME.json file).
+/// The named fault scripts (the scenario schema validates "script"
+/// against them; each has a scenarios/chaos-NAME.json file).
 const std::vector<std::string>& chaos_scenarios();
 
 ChaosReport run_chaos_experiment(const ChaosOptions& options);

@@ -36,10 +36,6 @@ FleetRunResult run_fleet_experiment(const FleetRunOptions& options) {
   keylime::SchedulerConfig sched_config;
   sched_config.poll_interval = kHour;
   keylime::AttestationScheduler scheduler(&verifier, &clock, sched_config);
-  network.use_telemetry(options.metrics);
-  verifier.use_telemetry(options.metrics);
-  orchestrator.use_telemetry(options.metrics);
-  scheduler.use_telemetry(options.metrics);
 
   // Build the fleet.
   std::vector<std::unique_ptr<oskernel::Machine>> machines;
@@ -62,7 +58,6 @@ FleetRunResult run_fleet_experiment(const FleetRunOptions& options) {
     if (!apts.back()->provision(archive.index(), provision).ok()) return result;
     agents.push_back(
         std::make_unique<keylime::Agent>(machines.back().get(), &network));
-    agents.back()->use_telemetry(options.metrics);
     if (!agents.back()->register_with(keylime::Registrar::address()).ok()) {
       return result;
     }

@@ -12,7 +12,6 @@
 
 #include "core/policy_generator.hpp"
 #include "pkg/archive.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace cia::experiments {
 
@@ -24,9 +23,6 @@ struct FleetRunOptions {
   std::size_t provision_extra = 60;
   /// Packet-loss probability on the attestation network.
   double drop_rate = 0.02;
-  /// Optional observability: when set, every component of the fleet rig
-  /// exports its metrics here. Never changes the simulated outcome.
-  telemetry::MetricsRegistry* metrics = nullptr;
 };
 
 struct FleetRunResult {

@@ -1,7 +1,6 @@
 #include "experiments/report.hpp"
 
 #include <algorithm>
-#include <fstream>
 
 #include "common/stats.hpp"
 #include "common/strutil.hpp"
@@ -202,18 +201,6 @@ std::string render_fp_effectiveness(const DynamicRunResult& daily,
          "  operator error (a release published after the mirror sync was\n"
          "  installed from the official archive instead of the mirror).\n";
   return out;
-}
-
-bool write_updates_csv(const std::string& path, const DynamicRunResult& run) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "day,packages,high_priority,lines_added,bytes_added,minutes\n";
-  for (const auto& u : run.updates) {
-    out << u.day << "," << u.packages_processed << ","
-        << u.packages_high_priority << "," << u.lines_added << ","
-        << u.bytes_added << "," << (u.seconds / 60.0) << "\n";
-  }
-  return bool(out);
 }
 
 }  // namespace cia::experiments

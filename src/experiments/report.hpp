@@ -35,10 +35,4 @@ std::string render_fp_baseline(const FpBaselineResult& result);
 std::string render_fp_effectiveness(const DynamicRunResult& daily,
                                     const DynamicRunResult& weekly);
 
-/// Write the per-update series as CSV (one row per update: day, packages,
-/// high-priority packages, policy lines, bytes, minutes) so figures can
-/// be re-plotted externally. Returns false when the file cannot be
-/// created.
-bool write_updates_csv(const std::string& path, const DynamicRunResult& run);
-
 }  // namespace cia::experiments

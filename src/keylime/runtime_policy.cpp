@@ -1,6 +1,7 @@
 #include "keylime/runtime_policy.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/strutil.hpp"
 
@@ -16,17 +17,23 @@ const char* policy_match_name(PolicyMatch m) {
   return "?";
 }
 
-void RuntimePolicy::allow(const std::string& path, const std::string& hash_hex) {
+bool RuntimePolicy::allow(const std::string& path, const std::string& hash_hex) {
+  if (!crypto::is_digest_hex(hash_hex)) return false;
+  insert(path, hash_hex);
+  return true;
+}
+
+void RuntimePolicy::allow(const std::string& path, const crypto::Digest& hash) {
+  insert(path, crypto::digest_hex(hash));
+}
+
+void RuntimePolicy::insert(const std::string& path, std::string hash_hex) {
   auto& hashes = allow_[path];
   if (std::find(hashes.begin(), hashes.end(), hash_hex) != hashes.end()) {
     return;  // already acceptable; keep the policy line count honest
   }
-  hashes.push_back(hash_hex);
+  hashes.push_back(std::move(hash_hex));
   ++entry_count_;
-}
-
-void RuntimePolicy::allow(const std::string& path, const crypto::Digest& hash) {
-  allow(path, crypto::digest_hex(hash));
 }
 
 void RuntimePolicy::exclude(const std::string& glob) {
@@ -135,12 +142,9 @@ Result<RuntimePolicy> RuntimePolicy::parse(const std::string& text) {
     if (sep == std::string::npos) {
       return err(Errc::kCorrupted, "bad policy line: " + line);
     }
-    const std::string path = line.substr(0, sep);
-    const std::string hash = line.substr(sep + 8);
-    if (!crypto::is_digest_hex(hash)) {
+    if (!policy.allow(line.substr(0, sep), line.substr(sep + 8))) {
       return err(Errc::kCorrupted, "bad hash in line: " + line);
     }
-    policy.allow(path, hash);
   }
   return policy;
 }
@@ -260,10 +264,9 @@ Result<RuntimePolicy> RuntimePolicy::from_json(const json::Value& doc) {
       return err(Errc::kCorrupted, "digest list for " + path + " is not an array");
     }
     for (const auto& h : hashes.as_array()) {
-      if (!h.is_string() || !crypto::is_digest_hex(h.as_string())) {
+      if (!h.is_string() || !policy.allow(path, h.as_string())) {
         return err(Errc::kCorrupted, "bad digest for " + path);
       }
-      policy.allow(path, h.as_string());
     }
   }
   return policy;

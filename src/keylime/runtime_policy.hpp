@@ -37,8 +37,11 @@ const char* policy_match_name(PolicyMatch m);
 
 class RuntimePolicy {
  public:
-  /// Append an acceptable hash for a path (keeps prior hashes).
-  void allow(const std::string& path, const std::string& hash_hex);
+  /// Append an acceptable hash for a path (keeps prior hashes). A hash
+  /// crypto::is_digest_hex rejects could never match a measurement and
+  /// would fail the policy's own parse() and from_json(), so allow()
+  /// refuses it: returns false and leaves the policy untouched.
+  bool allow(const std::string& path, const std::string& hash_hex);
   void allow(const std::string& path, const crypto::Digest& hash);
 
   /// Add an exclude glob (Keylime-side, path based).
@@ -123,6 +126,9 @@ class RuntimePolicy {
       const;
 
  private:
+  // allow() without the digest check, for hex already known to be one.
+  void insert(const std::string& path, std::string hash_hex);
+
   // Insertion-ordered acceptable hashes per path.
   std::map<std::string, std::vector<std::string>> allow_;
   std::vector<std::string> excludes_;

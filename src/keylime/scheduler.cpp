@@ -96,10 +96,6 @@ std::size_t AttestationScheduler::tick() {
         ->histogram("cia_scheduler_queue_depth", {},
                     telemetry::count_buckets())
         .observe(static_cast<double>(performed));
-    metrics_->gauge("cia_scheduler_healthy_agents")
-        .set(static_cast<double>(healthy_count()));
-    metrics_->gauge("cia_scheduler_backing_off_agents")
-        .set(static_cast<double>(backing_off_count()));
   }
   return performed;
 }
@@ -124,6 +120,15 @@ std::size_t AttestationScheduler::healthy_count() const {
 
 std::size_t AttestationScheduler::backing_off_count() const {
   return agents_.size() - healthy_count();
+}
+
+void AttestationScheduler::publish_health(telemetry::MetricsRegistry& metrics,
+                                          std::size_t healthy,
+                                          std::size_t backing_off) {
+  metrics.gauge("cia_scheduler_healthy_agents")
+      .set(static_cast<double>(healthy));
+  metrics.gauge("cia_scheduler_backing_off_agents")
+      .set(static_cast<double>(backing_off));
 }
 
 const AttestationScheduler::AgentSchedule* AttestationScheduler::schedule(

@@ -50,6 +50,13 @@ class AttestationScheduler {
   /// Agents currently in comms backoff.
   std::size_t backing_off_count() const;
 
+  /// Set the fleet health gauges `cia_scheduler_healthy_agents` and
+  /// `cia_scheduler_backing_off_agents`. tick() leaves them to its caller,
+  /// which publishes once per round boundary, summed over every scheduler
+  /// it ticks, so each series has one writer.
+  static void publish_health(telemetry::MetricsRegistry& metrics,
+                             std::size_t healthy, std::size_t backing_off);
+
   struct AgentSchedule {
     SimTime next_poll = 0;
     SimTime current_backoff = 0;  // 0 = healthy cadence
@@ -74,8 +81,8 @@ class AttestationScheduler {
   void rebind(Verifier* verifier) { verifier_ = verifier; }
 
   /// Export scheduler health to `metrics`: per-tick due-queue depth
-  /// histogram, healthy/backing-off fleet gauges, poll and comms-failure
-  /// counters, and the retry-jitter distribution. nullptr turns it off.
+  /// histogram, poll and comms-failure counters, and the retry-jitter
+  /// distribution. nullptr turns it off.
   void use_telemetry(telemetry::MetricsRegistry* metrics) {
     metrics_ = metrics;
   }

@@ -391,6 +391,17 @@ std::size_t VerifierPool::advance_to(SimTime t) {
   drain_round_boundary_locked();
   std::size_t total = 0;
   for (auto& shard : shards_) total += shard->polls;
+  if (metrics_) {
+    // The fleet health gauges are unlabeled: published here, after the
+    // join, as sums over the shards, so no worker races its siblings.
+    std::size_t healthy = 0;
+    std::size_t backing_off = 0;
+    for (const auto& shard : shards_) {
+      healthy += shard->scheduler.healthy_count();
+      backing_off += shard->scheduler.backing_off_count();
+    }
+    AttestationScheduler::publish_health(*metrics_, healthy, backing_off);
+  }
   return total - before;
 }
 
@@ -571,7 +582,8 @@ Status VerifierPool::unenroll(const std::string& agent_id) {
   Shard& shard = *shard_ptr(s);
   const std::optional<std::string> addr =
       shard.verifier.agent_address(agent_id);
-  shard.verifier.remove_agent(agent_id);
+  // owners_ placed the agent on this shard, so it is enrolled there.
+  (void)shard.verifier.remove_agent(agent_id);
   shard.scheduler.remove(agent_id);
   if (addr) shard.network.detach(*addr);
   if (metrics_) {
@@ -735,7 +747,7 @@ VerifierPool::MigrationResult VerifierPool::migrate_agent(
 
   const auto commit_move = [&] {
     if (addr) move_endpoint(src, dst, *addr);
-    src.verifier.remove_agent(agent_id);
+    (void)src.verifier.remove_agent(agent_id);  // exported from src above
     src.scheduler.remove(agent_id);
     {
       std::lock_guard<std::mutex> lock(owners_mu_);
@@ -788,7 +800,7 @@ VerifierPool::MigrationResult VerifierPool::migrate_agent(
     dst.verifier.seed_audit_tail(agent_id, tail);
     (void)dst.verifier.set_revision(agent_id, revision);
     dst.scheduler.enroll(agent_id);
-    src.verifier.remove_agent(agent_id);
+    (void)src.verifier.remove_agent(agent_id);  // exported from src above
     src.scheduler.remove(agent_id);
     {
       std::lock_guard<std::mutex> lock(owners_mu_);

@@ -210,7 +210,9 @@ class VerifierPool : public PolicySink {
 
   /// Advance every shard concurrently until its clock reaches `t`,
   /// batching due agents per shard per scheduler tick. Returns the
-  /// number of polls this call performed. Blocks until all workers join.
+  /// number of polls this call performed. Blocks until all workers join;
+  /// with telemetry attached, it then sets the scheduler's
+  /// healthy/backing-off gauges to their sums over the shards.
   std::size_t advance_to(SimTime t);
 
   /// One batched round: every shard polls each of its agents once,

@@ -101,10 +101,10 @@ void expect_parity(const RuntimePolicy& policy, const PolicyIndex& index,
                 << " cached=" << keylime::policy_match_name(cached);
 }
 
-// Lines only a direct allow() can create — hashes no measured digest
-// renders to — plus an excluded line whose hash does render: none of
-// them may reach appraise()'s template-hash set. Returns the digests to
-// probe each path with.
+// Lines only set_hashes() can create — hashes no measured digest
+// renders to, which allow() and the parsers refuse — plus an excluded
+// line whose hash does render: none of them may reach appraise()'s
+// template-hash set. Returns the digests to probe each path with.
 std::vector<std::pair<std::string, crypto::Digest>> add_unmatchable_lines(
     RuntimePolicy& policy, Rng& rng) {
   std::vector<std::pair<std::string, crypto::Digest>> probes;
@@ -123,7 +123,7 @@ std::vector<std::pair<std::string, crypto::Digest>> add_unmatchable_lines(
         hex.pop_back();
         break;
     }
-    policy.allow(path, hex);
+    policy.set_hashes(path, {hex});
     probes.emplace_back(path, d);
   }
   const crypto::Digest d = crypto::sha256("excluded-line");
@@ -248,6 +248,12 @@ std::string render_alerts(const std::vector<keylime::Alert>& alerts) {
   return out;
 }
 
+keylime::VerifierConfig config_for(bool continue_on_failure) {
+  keylime::VerifierConfig config;
+  config.continue_on_failure = continue_on_failure;
+  return config;
+}
+
 // Two verifiers — fast (indexed policy) and slow (plain linear
 // RuntimePolicy) — attesting one real agent over one workload.
 struct DiffRig {
@@ -255,10 +261,8 @@ struct DiffRig {
       : ca("mfg", to_bytes("diff-seed")),
         network(&clock, 1),
         registrar(&network, &clock, 2),
-        fast(&network, &clock, 3,
-             keylime::VerifierConfig{continue_on_failure}),
-        slow(&network, &clock, 4,
-             keylime::VerifierConfig{continue_on_failure}) {
+        fast(&network, &clock, 3, config_for(continue_on_failure)),
+        slow(&network, &clock, 4, config_for(continue_on_failure)) {
     registrar.trust_manufacturer(ca.public_key());
     oskernel::MachineConfig cfg;
     cfg.hostname = "diff-node";

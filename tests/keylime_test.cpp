@@ -46,6 +46,26 @@ TEST(RuntimePolicyTest, DuplicateAllowIsIdempotent) {
   EXPECT_EQ(p.entry_count(), 1u);
 }
 
+TEST(RuntimePolicyTest, AllowRefusesHashesThatAreNotDigests) {
+  RuntimePolicy p;
+  ASSERT_TRUE(p.allow("/usr/bin/ls", std::string(64, 'a')));
+  const std::string before = p.serialize();
+  for (const std::string& bad :
+       {std::string(64, 'A'), std::string(63, 'a'), std::string(63, 'a') + "g",
+        std::string(65, 'a'), std::string()}) {
+    EXPECT_FALSE(p.allow("/usr/bin/tool", bad)) << bad;
+    EXPECT_FALSE(p.allow("/usr/bin/ls", bad)) << bad;
+  }
+  EXPECT_EQ(p.entry_count(), 1u);
+  EXPECT_EQ(p.path_count(), 1u);
+  EXPECT_EQ(p.hashes_for("/usr/bin/tool"), nullptr)
+      << "a refused allow() must not leave an empty path entry";
+  EXPECT_EQ(p.serialize(), before);
+  EXPECT_TRUE(p.allow("/usr/bin/ls", std::string(64, 'a')))
+      << "a duplicate digest is accepted and changes nothing";
+  EXPECT_EQ(p.entry_count(), 1u);
+}
+
 TEST(RuntimePolicyTest, DedupKeepsNewestHash) {
   RuntimePolicy p;
   p.allow("/usr/bin/x", std::string(64, '1'));
@@ -241,7 +261,9 @@ TEST_F(Rig, StopOnFailureLeavesLogPartiallyEvaluated) {
 }
 
 TEST_F(Rig, ContinueOnFailureEvaluatesWholeLog) {
-  Verifier tolerant(&network, &clock, 10, VerifierConfig{.continue_on_failure = true});
+  VerifierConfig config;
+  config.continue_on_failure = true;
+  Verifier tolerant(&network, &clock, 10, config);
   ASSERT_TRUE(agent.register_with(Registrar::address()).ok());
   ASSERT_TRUE(tolerant.add_agent("node0", agent.address()).ok());
   ASSERT_TRUE(tolerant.set_policy("node0", baseline_policy()).ok());

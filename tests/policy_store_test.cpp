@@ -482,13 +482,14 @@ TEST(PolicyDigestTest, StreamedDigestMatchesCanonicalJsonEdgeCases) {
   hostile.exclude(std::string(1, '\x1f'));
   expect_streamed_equals_dom(hostile, "escape-heavy paths and globs");
 
-  // allow() takes any hash string; the canonical form escapes it like
-  // any other string.
+  // set_hashes() takes any hash string (allow() refuses what is not a
+  // digest); the canonical form escapes it like any other string.
   RuntimePolicy odd_hashes;
-  odd_hashes.allow("/bin/upper", std::string(64, 'A'));
-  odd_hashes.allow("/bin/short", "abc");
-  odd_hashes.allow("/bin/empty", "");
-  odd_hashes.allow("/bin/escapes", "\"\\\t\x01\x7f\xff" + std::string(58, 'z'));
+  odd_hashes.set_hashes("/bin/upper", {std::string(64, 'A')});
+  odd_hashes.set_hashes("/bin/short", {"abc"});
+  odd_hashes.set_hashes("/bin/empty", {""});
+  odd_hashes.set_hashes("/bin/escapes",
+                        {"\"\\\t\x01\x7f\xff" + std::string(58, 'z')});
   expect_streamed_equals_dom(odd_hashes, "hash strings that are not hex");
 }
 
@@ -540,7 +541,7 @@ TEST(PolicyDigestTest, PinnedDigestOfAFixedPolicy) {
   p.allow("/usr/bin/bash", hex_of("bash-2"));
   p.allow("/usr/lib/x86_64-linux-gnu/libc.so.6", hex_of("libc"));
   p.allow("/usr/share/we\"ird\\dir/\x01\x1f\x7f\xc3\xa9", hex_of("weird"));
-  p.allow("/tmp/tab\there", std::string(64, 'F'));
+  p.set_hashes("/tmp/tab\there", {std::string(64, 'F')});
   p.exclude("/tmp/*");
   p.exclude("*.pyc");
   EXPECT_EQ(ps::policy_digest(p),

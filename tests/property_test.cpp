@@ -299,16 +299,16 @@ TEST_P(PolicyIndexProperty, IndexAgreesWithLinearScanEverywhere) {
     policy.exclude("/opt/" + rng.ident(2) + "*");
     // Lines appraise() must keep out of its template-hash set: a hash in
     // uppercase (the same digest, but check() compares lowercase hex),
-    // one with a non-hex digit, and an allowed-looking line under an
-    // excluded path.
+    // one with a non-hex digit (both through set_hashes(), since allow()
+    // refuses them), and an allowed-looking line under an excluded path.
     const std::string digest_hex = to_hex(rng.bytes(32));
     std::string upper = digest_hex;
     std::transform(upper.begin(), upper.end(), upper.begin(),
                    [](unsigned char c) { return std::toupper(c); });
     std::string non_hex = digest_hex;
     non_hex[5] = 'x';
-    policy.allow("/usr/bin/upper-" + rng.ident(3), upper);
-    policy.allow("/usr/bin/nonhex-" + rng.ident(3), non_hex);
+    policy.set_hashes("/usr/bin/upper-" + rng.ident(3), {upper});
+    policy.set_hashes("/usr/bin/nonhex-" + rng.ident(3), {non_hex});
     policy.allow("/srv/excluded-" + rng.ident(3) + "/tool", digest_hex);
     policy.exclude("/srv/excluded-*");
     const auto index =

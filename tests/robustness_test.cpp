@@ -363,6 +363,28 @@ TEST(CheckpointTest, RestoreIgnoresUnknownFieldsFromMinorRevisions) {
   EXPECT_EQ(restored.checkpoint().dump(), original.dump());
 }
 
+TEST(CheckpointTest, RestoresAnAgentWhosePolicySawARefusedAllow) {
+  // A checkpoint embeds each agent's policy JSON and restore() parses it
+  // back, so one line the parser refuses would refuse the whole
+  // checkpoint. allow() refuses such a hash up front instead.
+  TestbedOptions options;
+  options.provision_extra = 10;
+  options.archive.base_package_count = 100;
+  Testbed bed(options);
+  ASSERT_TRUE(bed.enroll().ok());
+  keylime::RuntimePolicy policy = scan_machine_policy(bed.machine, true);
+  policy.allow("/usr/bin/tool", std::string(64, 'A'));
+  ASSERT_TRUE(bed.verifier.set_policy(bed.agent_id(), policy).ok());
+  ASSERT_TRUE(bed.verifier.attest_once(bed.agent_id()).ok());
+
+  const json::Value checkpoint = bed.verifier.checkpoint();
+  keylime::Verifier restored(&bed.network, &bed.clock, 42 ^ 0x766572ull,
+                             options.verifier_config);
+  const Status status = restored.restore(checkpoint);
+  ASSERT_TRUE(status.ok()) << status.error().message;
+  EXPECT_EQ(restored.checkpoint().dump(), checkpoint.dump());
+}
+
 TEST(CheckpointTest, RestoreRejectsAForgedBacklogTemplateHash) {
   // Stock semantics: the first violation halts the round, so the entry
   // behind it lands in the backlog the checkpoint carries.

@@ -19,11 +19,13 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "experiments/chaos_experiment.hpp"
 #include "experiments/pool_experiment.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
+#include "telemetry/export.hpp"
 #include "testkit/generators.hpp"
 #include "testkit/shrink.hpp"
 
@@ -175,12 +177,46 @@ TEST(ScenarioDifferentialTest, ChaosFilesReplayLegacyReports) {
   }
 }
 
+// One run with telemetry attached: its outcome, and its snapshot minus
+// the wall-clock `*_us` series (the part the determinism contract
+// covers).
+std::pair<ScenarioOutcome, telemetry::MetricsSnapshot> run_with_telemetry(
+    const Scenario& sc) {
+  telemetry::MetricsRegistry registry;
+  RunOptions options;
+  options.metrics = &registry;
+  auto run = run_scenario(sc, options);
+  EXPECT_TRUE(run.ok()) << (run.ok() ? "" : run.error().message);
+  telemetry::MetricsSnapshot snapshot = registry.snapshot();
+  std::erase_if(snapshot.points, [](const telemetry::MetricPoint& point) {
+    return point.name.ends_with("_us");
+  });
+  return {run.ok() ? run.value() : ScenarioOutcome{}, std::move(snapshot)};
+}
+
 TEST(ScenarioDifferentialTest, SameFileAndSeedIsDeterministic) {
+  // Three shard workers race through every round; the report, the
+  // incident stream and the telemetry snapshot must not depend on which
+  // one finishes last.
   const Scenario sc = must_parse(kSmallStorm);
-  const ScenarioOutcome a = must_run(sc);
-  const ScenarioOutcome b = must_run(sc);
-  EXPECT_EQ(a.report.dump(), b.report.dump());
-  EXPECT_EQ(a.incident_stream, b.incident_stream);
+  const auto [a, a_metrics] = run_with_telemetry(sc);
+  const std::string a_json = telemetry::to_json(a_metrics).dump();
+  // The fleet health split covers all 40 agents across the three shards;
+  // the 10 % drops leave two of them in backoff when the storm ends.
+  const auto* healthy = a_metrics.find("cia_scheduler_healthy_agents");
+  const auto* backing_off = a_metrics.find("cia_scheduler_backing_off_agents");
+  ASSERT_NE(healthy, nullptr);
+  ASSERT_NE(backing_off, nullptr);
+  EXPECT_EQ(healthy->value + backing_off->value, 40.0);
+  EXPECT_EQ(backing_off->value, 2.0);
+  for (int run = 1; run < 6; ++run) {
+    const auto [b, b_metrics] = run_with_telemetry(sc);
+    EXPECT_EQ(a.report.dump(), b.report.dump()) << "run " << run;
+    EXPECT_EQ(a.incident_stream, b.incident_stream) << "run " << run;
+    EXPECT_EQ(a_json, telemetry::to_json(b_metrics).dump())
+        << "run " << run << ":\n"
+        << telemetry::diff_snapshots(a_metrics, b_metrics);
+  }
 
   // A seed override reroutes through the same deterministic path: two
   // reseeded runs agree with each other byte for byte. (The stream is
