@@ -18,9 +18,11 @@
 // full push), the push fan-out (a push plus its install round on 16
 // agents must cost <2x the same on one agent), the policy digest (the
 // streamed digest must equal SHA-256 of the dumped JSON tree and cost
-// <0.5x of it) and drift against the checked-in baseline. It also runs
-// Part 3 and gates the handoff size: a moved agent's payload carries its
-// state, never its policy, so it must stay under 1 KB.
+// <0.5x of it), the heap a full index of the base holds (<180 B per
+// policy line, glibc builds) and drift against the checked-in baseline.
+// It also runs Part 3 and gates the handoff size: a moved agent's
+// payload carries its state, never its policy, so it must stay under
+// 1 KB.
 //
 // The shapes are fixed (the k* sizes below): BENCH_policy.json was
 // recorded at them, so --check always gates the workload its baseline
@@ -131,7 +133,7 @@ IndexBenchResult bench_policy_index() {
   // a sprinkle of unknown and excluded paths.
   struct Probe {
     std::string path;
-    std::string hash;
+    crypto::Digest hash;
   };
   std::vector<Probe> probes;
   const std::size_t kProbes = 200000;
@@ -143,21 +145,21 @@ IndexBenchResult bench_policy_index() {
       probes.push_back(
           {strformat("/usr/lib/x86_64-linux-gnu/pkg-%05zu/libtool-%zu.so.0",
                      p / 4, p % 4),
-           crypto::digest_hex(crypto::sha256(
-               strformat("content-%zu-%zu", p, i % kHashesPerPath)))});
+           crypto::sha256(
+               strformat("content-%zu-%zu", p, i % kHashesPerPath))});
     } else if (r < 38) {  // known path, stale hash
       const std::size_t p = (i * 104729) % kPaths;
       probes.push_back(
           {strformat("/usr/lib/x86_64-linux-gnu/pkg-%05zu/libtool-%zu.so.0",
                      p / 4, p % 4),
-           crypto::digest_hex(crypto::sha256("stale"))});
+           crypto::sha256("stale")});
     } else if (r == 38) {  // unknown path
-      probes.push_back({strformat("/opt/unknown/bin-%zu", i),
-                        crypto::digest_hex(crypto::sha256("x"))});
+      probes.push_back(
+          {strformat("/opt/unknown/bin-%zu", i), crypto::sha256("x")});
     } else {  // excluded path (a compiled directory glob)
       probes.push_back({strformat("/var/cache/app-%03zu/obj-%zu",
                                   (i % 8) * 4 + 3, i),
-                        crypto::digest_hex(crypto::sha256("x"))});
+                        crypto::sha256("x")});
     }
   }
   result.probes = probes.size();
@@ -391,6 +393,9 @@ struct DeltaBenchResult {
   /// the digest's cost before streaming, and its oracle.
   double digest_ms = 0;
   double dom_digest_ms = 0;
+  /// Heap bytes PolicyIndex::build of the base holds, per policy line
+  /// (mallinfo2 in-use bytes before and after; glibc only).
+  double index_bytes_per_line = 0;
   double bytes_ratio = 0;
   double build_ratio = 0;
   double digest_ratio = 0;
@@ -403,6 +408,16 @@ struct DeltaBenchResult {
 };
 
 constexpr std::size_t kFanoutAgents = 16;
+/// Hard ceiling for full_push.index_bytes_per_line: the index keeps path
+/// classes and template hashes, never a copy of the policy's strings.
+constexpr double kMaxIndexBytesPerLine = 180;
+
+#ifdef __GLIBC__
+std::size_t heap_in_use() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+#endif
 
 PoolFleetOptions fanout_fleet_options(std::size_t agents) {
   PoolFleetOptions options;
@@ -536,7 +551,15 @@ DeltaBenchResult bench_policy_delta(std::size_t entries, std::size_t reps) {
     return result;
   }
 
+#ifdef __GLIBC__
+  const std::size_t heap_before = heap_in_use();
+#endif
   const auto base_index = PolicyIndex::build(base, 1);
+#ifdef __GLIBC__
+  result.index_bytes_per_line =
+      static_cast<double>(heap_in_use() - heap_before) /
+      static_cast<double>(result.base_entries);
+#endif
   std::shared_ptr<const PolicyIndex> full_index, incr_index;
   result.full_build_ms = 1e300;
   result.delta_push_ms = 1e300;
@@ -575,7 +598,7 @@ DeltaBenchResult bench_policy_delta(std::size_t entries, std::size_t reps) {
                         (i * 7919) % unique_paths)
             : strformat("/usr/lib/x86_64-linux-gnu/pkg-%05zu/libtool-3.so.0",
                         i * 13 + 1);
-    const std::string probe = crypto::digest_hex(crypto::sha256("probe"));
+    const crypto::Digest probe = crypto::sha256("probe");
     if (full_index->check(path, probe) != incr_index->check(path, probe)) {
       result.diverged = true;
     }
@@ -631,6 +654,9 @@ json::Value delta_bench_to_json(const DeltaBenchResult& r,
   json::Value full;
   full.set("bytes", static_cast<std::int64_t>(r.full_bytes));
   full.set("index_build_ms", r.full_build_ms);
+#ifdef __GLIBC__
+  full.set("index_bytes_per_line", r.index_bytes_per_line);
+#endif
   doc.set("full_push", std::move(full));
   json::Value delta;
   delta.set("bytes", static_cast<std::int64_t>(r.delta_bytes));
@@ -668,6 +694,10 @@ void print_delta_bench(const DeltaBenchResult& r) {
               static_cast<unsigned long long>(r.delta_bytes), r.delta_push_ms);
   std::printf("  ratio        %10.2f%%    %7.2f%%\n", r.bytes_ratio * 100,
               r.build_ratio * 100);
+#ifdef __GLIBC__
+  std::printf("  (full index of the base: %.0f heap bytes per policy line)\n",
+              r.index_bytes_per_line);
+#endif
   std::printf("  (one-time delta ingestion, apply + both provenance digests:"
               " %.1fms)\n",
               r.apply_verify_ms);
@@ -706,6 +736,13 @@ int run_policy_check(const std::string& baseline_path, double tolerance,
               "handoff per moved", handoff_ok ? "PASS" : "FAIL",
               h.kb_per_moved, kMaxHandoffKbPerMoved);
   if (!handoff_ok) ++failures;
+#ifdef __GLIBC__
+  const bool index_bytes_ok = r.index_bytes_per_line < kMaxIndexBytesPerLine;
+  std::printf("  %-22s %s  %.1f B vs hard limit %.0f B\n",
+              "index bytes per line", index_bytes_ok ? "PASS" : "FAIL",
+              r.index_bytes_per_line, kMaxIndexBytesPerLine);
+  if (!index_bytes_ok) ++failures;
+#endif
 
   std::ifstream in(baseline_path);
   if (!in) {

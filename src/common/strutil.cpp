@@ -48,10 +48,10 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-bool glob_match(const std::string& pattern, const std::string& text) {
+bool glob_match(std::string_view pattern, std::string_view text) {
   // Iterative wildcard matcher with backtracking for '*'.
   std::size_t p = 0, t = 0;
-  std::size_t star = std::string::npos, mark = 0;
+  std::size_t star = std::string_view::npos, mark = 0;
   while (t < text.size()) {
     if (p < pattern.size() && (pattern[p] == '?' || pattern[p] == text[t])) {
       ++p;
@@ -59,7 +59,7 @@ bool glob_match(const std::string& pattern, const std::string& text) {
     } else if (p < pattern.size() && pattern[p] == '*') {
       star = p++;
       mark = t;
-    } else if (star != std::string::npos) {
+    } else if (star != std::string_view::npos) {
       p = star + 1;
       t = ++mark;
     } else {

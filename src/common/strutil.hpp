@@ -20,7 +20,7 @@ bool ends_with(const std::string& s, const std::string& suffix);
 
 /// Simple glob match supporting '*' (any run, including '/') and '?'.
 /// Keylime exclude lists use these wildcards.
-bool glob_match(const std::string& pattern, const std::string& text);
+bool glob_match(std::string_view pattern, std::string_view text);
 
 /// A non-empty run of decimal digits (no sign, space or base prefix)
 /// whose value is at most `max`; empty on anything else. The parser

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <optional>
 
 #include "common/strutil.hpp"
 #include "keylime/policy_store/store.hpp"
@@ -17,21 +18,6 @@ std::atomic<std::uint64_t> g_next_index_uid{1};
 /// Build-count telemetry sources (full_build_count() and friends).
 std::atomic<std::uint64_t> g_full_builds{0};
 std::atomic<std::uint64_t> g_incremental_builds{0};
-
-/// Does the stored policy hash (lowercase hex, as digest_hex renders)
-/// name exactly this digest? Nibble-wise compare — the old path rendered
-/// the digest to a temporary 64-byte string per probe.
-bool hex_names_digest(const std::string& hex, const crypto::Digest& d) {
-  if (hex.size() != 2 * d.size()) return false;
-  static constexpr char kDigits[] = "0123456789abcdef";
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    if (hex[2 * i] != kDigits[d[i] >> 4] ||
-        hex[2 * i + 1] != kDigits[d[i] & 0x0f]) {
-      return false;
-    }
-  }
-  return true;
-}
 
 /// Is `glob` of the shape "PREFIX*" where PREFIX is literal (no other
 /// metacharacters) and names a directory (ends with '/')? Such a glob
@@ -132,34 +118,6 @@ void PolicyIndex::TemplateSet::insert(const crypto::Digest& key) {
   }
 }
 
-void PolicyIndex::TemplateSet::erase(const crypto::Digest& key) {
-  if (is_zero(key)) {
-    has_zero_ = false;
-    return;
-  }
-  if (size_ == 0) return;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t hole = home(key);
-  for (;; hole = (hole + 1) & mask) {
-    if (is_zero(slots_[hole])) return;  // absent
-    if (slots_[hole] == key) break;
-  }
-  // Pull each later member of the cluster back into the hole unless its
-  // home slot lies cyclically in (hole, j]: moving it would put it ahead
-  // of its home, where a probe never looks.
-  for (std::size_t j = (hole + 1) & mask; !is_zero(slots_[j]);
-       j = (j + 1) & mask) {
-    const std::size_t h = home(slots_[j]);
-    const bool stays = hole <= j ? (hole < h && h <= j) : (hole < h || h <= j);
-    if (!stays) {
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
-  }
-  slots_[hole] = crypto::Digest{};
-  --size_;
-}
-
 bool PolicyIndex::TemplateSet::contains(const crypto::Digest& key) const {
   if (is_zero(key)) return has_zero_;
   if (size_ == 0) return false;
@@ -173,36 +131,47 @@ bool PolicyIndex::TemplateSet::contains(const crypto::Digest& key) const {
 
 // ------------------------------------------------------------ PolicyIndex
 
-std::shared_ptr<const PolicyIndex> PolicyIndex::build(
-    const RuntimePolicy& policy, std::uint64_t revision) {
-  g_full_builds.fetch_add(1, std::memory_order_relaxed);
+std::shared_ptr<PolicyIndex> PolicyIndex::build_root(
+    const RuntimePolicy& policy, std::shared_ptr<const Excludes> excludes,
+    const PolicyIndex* chain) {
   auto index = std::make_shared<PolicyIndex>();
-  index->revision_ = revision;
-  index->uid_ = g_next_index_uid.fetch_add(1, std::memory_order_relaxed);
-  index->entry_count_ = policy.entry_count();
-  for (const std::string& glob : policy.excludes()) {
-    std::string prefix;
-    if (is_dir_prefix_glob(glob, &prefix)) {
-      index->dir_excludes_.insert(std::move(prefix));
-    } else {
-      index->general_excludes_.push_back(glob);
-    }
-  }
+  index->excludes_ = std::move(excludes);
   index->paths_.reserve(policy.path_count());
   index->allowed_.reserve(policy.entry_count());
   LineHasher allow([&](const crypto::Digest& t) { index->allowed_.insert(t); });
   policy.for_each_path(
       [&](const std::string& path, const std::vector<std::string>& hashes) {
-        PathEntry entry;
-        entry.excluded = index->excluded_by_scan(path);
-        entry.hashes = hashes;
-        if (!entry.excluded) {
+        const bool excluded =
+            chain != nullptr
+                ? chain->find({path, SvHash{}(path)}) == PathClass::kExcluded
+                : index->excluded_by_scan(path);
+        index->paths_.emplace(path, excluded ? PathClass::kExcluded
+                                             : PathClass::kListed);
+        if (!excluded) {
           for (const std::string& h : hashes) allow.add(path, h);
         }
-        index->paths_.emplace(path, std::move(entry));
       });
   allow.flush();
-  index->path_count_ = index->paths_.size();
+  return index;
+}
+
+std::shared_ptr<const PolicyIndex> PolicyIndex::build(
+    const RuntimePolicy& policy, std::uint64_t revision) {
+  g_full_builds.fetch_add(1, std::memory_order_relaxed);
+  auto excludes = std::make_shared<Excludes>();
+  for (const std::string& glob : policy.excludes()) {
+    std::string prefix;
+    if (is_dir_prefix_glob(glob, &prefix)) {
+      excludes->dir_prefixes.insert(std::move(prefix));
+    } else {
+      excludes->general.push_back(glob);
+    }
+  }
+  auto index = build_root(policy, std::move(excludes), nullptr);
+  index->revision_ = revision;
+  index->uid_ = g_next_index_uid.fetch_add(1, std::memory_order_relaxed);
+  index->entry_count_ = policy.entry_count();
+  index->path_count_ = policy.path_count();
   return index;
 }
 
@@ -211,91 +180,41 @@ std::shared_ptr<const PolicyIndex> PolicyIndex::build_incremental(
     const policy_store::PolicyDelta& delta, std::uint64_t revision) {
   if (base == nullptr || delta.touches_excludes()) {
     // No base table to patch, or the exclude list changed under the
-    // precomputed per-path exclusion verdicts: full rebuild.
+    // precomputed path classes: full rebuild.
     return build(target, revision);
   }
   g_incremental_builds.fetch_add(1, std::memory_order_relaxed);
+  // Thin overlay: class only the delta's paths and hash only the lines
+  // it adds; everything else resolves through the shared base. O(delta),
+  // so a §III-C daily update costs ~1.3k entries against a 300k table it
+  // never touches.
   auto index = std::make_shared<PolicyIndex>();
-  if (base->layer_depth_ < kMaxLayerDepth) {
-    // Thin overlay: store only the delta's paths (plus tombstones);
-    // everything else resolves through the shared base. O(delta), so a
-    // §III-C daily update costs ~1.3k patched entries against a 300k
-    // table it never touches.
-    index->base_ = base;
-    index->layer_depth_ = base->layer_depth_ + 1;
-    index->dir_excludes_ = base->dir_excludes_;
-    index->general_excludes_ = base->general_excludes_;
-  } else {
-    // Chain at the depth bound: flatten. One deep copy of the root
-    // table, then replay each overlay oldest-first — amortized over
-    // kMaxLayerDepth O(delta) layers.
-    std::vector<const PolicyIndex*> chain;
-    const PolicyIndex* root = base.get();
-    while (root->base_ != nullptr) {
-      chain.push_back(root);
-      root = root->base_.get();
+  index->base_ = base;
+  index->excludes_ = base->excludes_;
+  index->layer_depth_ = base->layer_depth_ + 1;
+  LineHasher allow([&](const crypto::Digest& t) { index->allowed_.insert(t); });
+  for (const policy_store::DeltaEntry& e : delta.entries) {
+    PathClass cls = PathClass::kRemoved;
+    if (e.op != policy_store::DeltaEntry::Op::kRemove) {
+      cls = index->excluded_by_scan(e.path) ? PathClass::kExcluded
+                                            : PathClass::kListed;
     }
-    index->paths_ = root->paths_;
-    index->allowed_ = root->allowed_;
-    index->dir_excludes_ = root->dir_excludes_;
-    index->general_excludes_ = root->general_excludes_;
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      for (const std::string& removed : (*it)->removed_) {
-        index->paths_.erase(removed);
-      }
-      for (const auto& [path, entry] : (*it)->paths_) {
-        index->paths_.insert_or_assign(path, entry);
-      }
-      (*it)->revoked_.for_each(
-          [&](const crypto::Digest& t) { index->allowed_.erase(t); });
-      (*it)->allowed_.for_each(
-          [&](const crypto::Digest& t) { index->allowed_.insert(t); });
+    if (cls == PathClass::kListed) {
+      for (const std::string& h : e.hashes) allow.add(e.path, h);
     }
+    index->paths_.insert_or_assign(e.path, cls);
+  }
+  allow.flush();
+  if (index->layer_depth_ > kMaxLayerDepth) {
+    // Chain at the depth bound: flatten into a root rebuilt from the
+    // target, amortized over kMaxLayerDepth O(delta) layers. The chain
+    // classes every target path, so no glob is scanned.
+    index = build_root(target, base->excludes_, index.get());
   }
   index->revision_ = revision;
   index->uid_ = g_next_index_uid.fetch_add(1, std::memory_order_relaxed);
   index->entry_count_ = target.entry_count();
   index->path_count_ = target.path_count();
-
-  // Template hashes: revoke every allowed line the base shows for each
-  // touched path, then add the delta's lines. A layer records both; a
-  // flattened root applies them in that order, so a line the delta keeps
-  // is erased and re-inserted, never lost.
-  const bool layered = index->base_ != nullptr;
-  {
-    LineHasher revoke([&](const crypto::Digest& t) {
-      if (layered) {
-        index->revoked_.insert(t);
-      } else {
-        index->allowed_.erase(t);
-      }
-    });
-    for (const policy_store::DeltaEntry& e : delta.entries) {
-      const PathEntry* old = base->find(e.path);
-      if (old == nullptr || old->excluded) continue;
-      for (const std::string& h : old->hashes) revoke.add(e.path, h);
-    }
-    revoke.flush();
-  }
-  LineHasher allow([&](const crypto::Digest& t) { index->allowed_.insert(t); });
-  for (const policy_store::DeltaEntry& e : delta.entries) {
-    if (e.op == policy_store::DeltaEntry::Op::kRemove) {
-      if (layered) {
-        index->removed_.insert(e.path);
-      } else {
-        index->paths_.erase(e.path);
-      }
-      continue;
-    }
-    PathEntry entry;
-    entry.excluded = index->excluded_by_scan(e.path);
-    entry.hashes = e.hashes;
-    if (!entry.excluded) {
-      for (const std::string& h : e.hashes) allow.add(e.path, h);
-    }
-    index->paths_.insert_or_assign(e.path, std::move(entry));
-  }
-  allow.flush();
   return index;
 }
 
@@ -308,81 +227,64 @@ std::uint64_t PolicyIndex::incremental_build_count() {
 }
 
 bool PolicyIndex::excluded_by_scan(std::string_view path) const {
-  if (!dir_excludes_.empty()) {
+  if (!excludes_->dir_prefixes.empty()) {
     // A compiled "DIR/*" glob matches iff DIR/ is a prefix of the path,
     // and every such prefix ends at one of the path's '/' characters.
     for (std::size_t i = 0; i < path.size(); ++i) {
       if (path[i] != '/') continue;
-      if (dir_excludes_.count(path.substr(0, i + 1)) != 0) return true;
+      if (excludes_->dir_prefixes.count(path.substr(0, i + 1)) != 0) {
+        return true;
+      }
     }
   }
-  if (!general_excludes_.empty()) {
-    const std::string owned(path);  // glob_match wants std::string
-    for (const std::string& glob : general_excludes_) {
-      if (glob_match(glob, owned)) return true;
-    }
+  for (const std::string& glob : excludes_->general) {
+    if (glob_match(glob, path)) return true;
   }
   return false;
 }
 
-const PolicyIndex::PathEntry* PolicyIndex::find(std::string_view path) const {
-  for (const PolicyIndex* layer = this;; layer = layer->base_.get()) {
-    auto it = layer->paths_.find(path);
-    if (it != layer->paths_.end()) return &it->second;
-    if (layer->base_ == nullptr || layer->removed_.count(path) != 0) {
-      return nullptr;
-    }
+PolicyIndex::PathClass PolicyIndex::find(const HashedPath& path) const {
+  for (const PolicyIndex* layer = this; layer != nullptr;
+       layer = layer->base_.get()) {
+    const auto it = layer->paths_.find(path);
+    if (it != layer->paths_.end()) return it->second;
   }
-}
-
-PolicyMatch PolicyIndex::check(const std::string& path,
-                               const std::string& hash_hex,
-                               bool* known) const {
-  const PathEntry* entry = find(path);
-  if (known) *known = entry != nullptr;
-  if (entry == nullptr) {
-    return excluded_by_scan(path) ? PolicyMatch::kExcluded
-                                  : PolicyMatch::kNotInPolicy;
-  }
-  if (entry->excluded) return PolicyMatch::kExcluded;
-  if (std::find(entry->hashes.begin(), entry->hashes.end(), hash_hex) !=
-      entry->hashes.end()) {
-    return PolicyMatch::kAllowed;
-  }
-  return PolicyMatch::kHashMismatch;
+  return PathClass::kRemoved;
 }
 
 PolicyMatch PolicyIndex::check(std::string_view path,
                                const crypto::Digest& hash,
                                bool* known) const {
-  const PathEntry* entry = find(path);
-  if (known) *known = entry != nullptr;
-  if (entry == nullptr) {
-    return excluded_by_scan(path) ? PolicyMatch::kExcluded
-                                  : PolicyMatch::kNotInPolicy;
-  }
-  if (entry->excluded) return PolicyMatch::kExcluded;
-  for (const std::string& h : entry->hashes) {
-    if (hex_names_digest(h, hash)) return PolicyMatch::kAllowed;
-  }
-  return PolicyMatch::kHashMismatch;
+  return appraise(path, hash, crypto::template_hash_of(hash, path), known);
 }
 
 PolicyMatch PolicyIndex::appraise(std::string_view path,
-                                  const crypto::Digest& file_hash,
+                                  const crypto::Digest& /*file_hash*/,
                                   const crypto::Digest& template_hash,
                                   bool* known) const {
-  // Youngest layer first: an added line allows, a revoked one stops the
-  // walk, so a line a later delta replaced is never found further down.
+  // Youngest layer first. A layer's set holds lines only of paths that
+  // layer defines, and the first layer defining the path shadows the
+  // older ones, so a line a later delta replaced is never found further
+  // down. The path is hashed once, and only after a set miss: an allowed
+  // entry on a root index never hashes it.
+  std::optional<HashedPath> key;
   for (const PolicyIndex* layer = this; layer != nullptr;
        layer = layer->base_.get()) {
     if (layer->allowed_.contains(template_hash)) {
       if (known) *known = true;
       return PolicyMatch::kAllowed;
     }
-    if (layer->revoked_.contains(template_hash)) break;
+    if (!key) key = HashedPath{path, SvHash{}(path)};
+    const auto it = layer->paths_.find(*key);
+    if (it == layer->paths_.end()) continue;
+    if (it->second == PathClass::kRemoved) break;
+    if (known) *known = true;
+    return it->second == PathClass::kListed ? PolicyMatch::kHashMismatch
+                                            : PolicyMatch::kExcluded;
   }
-  return check(path, file_hash, known);
+  if (known) *known = false;
+  return excluded_by_scan(path) ? PolicyMatch::kExcluded
+                                : PolicyMatch::kNotInPolicy;
 }
 
 }  // namespace cia::keylime

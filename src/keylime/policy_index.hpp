@@ -3,23 +3,31 @@
 // The paper's deployment appraises every IMA entry against a 323,734-line
 // (46 MB) policy; RuntimePolicy::check pays an ordered-map path lookup
 // plus a glob scan over the exclude list on every call. PolicyIndex is
-// built once per policy revision and answers the same query two ways:
+// built once per policy revision and holds only what it derives from the
+// policy, never a second copy of its hash strings:
 //
-//   * appraise() first probes a flat set of the template hashes of every
-//     allowed policy line, SHA-256(file_hash || path). The file hash has
-//     a fixed 32 bytes, so a template hash names exactly one (path, hash)
-//     line, and an allowed entry — the hot path — costs one probe on a
-//     random 32-byte key with no path hashing;
-//   * check(), and appraise() on a set miss, look the path up in a hash
-//     table with the exclusion verdict precomputed per indexed path, and
-//     fall back to the compiled exclude list for unknown paths.
+//   * the template hash of every allowed policy line, SHA-256(file_hash
+//     || path), in a flat set. The file hash has a fixed 32 bytes, so a
+//     template hash names exactly one (path, hash) line, and an allowed
+//     entry — the hot path — costs one probe on a random 32-byte key
+//     with no path hashing;
+//   * each policy path's class, listed or excluded (the exclusion verdict
+//     precomputed per path), so a set miss is a hash mismatch or an
+//     exclusion from one path probe. Paths the policy does not list fall
+//     back to the compiled exclude list.
+//
+// An incremental build links an overlay layer that classes only the
+// paths its delta touched (listed, excluded or removed) and holds the
+// template hashes of the lines the delta adds. A layer that defines a
+// path shadows every older layer for that path, so a replaced or
+// removed line needs no revocation record.
 //
 // Indexes are shared read-only across verifier shards via
 // shared_ptr<const PolicyIndex>: a dynamic policy update builds a fresh
 // index and swaps the pointer (copy-on-write), so a shard mid-appraisal
 // keeps its consistent snapshot and never observes a torn table.
 // check() and appraise() must agree with RuntimePolicy::check on every
-// input — property tests in tests/property_test.cpp,
+// measured digest — property tests in tests/property_test.cpp,
 // tests/policy_store_test.cpp and tests/hotpath_diff_test.cpp hold them
 // against each other over generated policies, delta chains and
 // adversarial paths.
@@ -44,7 +52,7 @@ struct PolicyDelta;
 
 class PolicyIndex {
  public:
-  /// Build an index over `policy`: the path table, plus the template
+  /// Build an index over `policy`: every path's class, plus the template
   /// hash of every allowed line (its path not excluded, its hash in the
   /// crypto::is_digest_hex form), computed with sha256_batch. `revision`
   /// tags the snapshot (the pool bumps it once per dynamic policy push)
@@ -53,25 +61,26 @@ class PolicyIndex {
                                                   std::uint64_t revision = 0);
 
   /// Build the index for `target` as a thin overlay layer over `base`:
-  /// only the paths `delta` names are stored (plus tombstones for
-  /// removals); everything else resolves through the shared base table.
-  /// The layer's template-hash overlay holds the allowed lines the delta
-  /// adds and revokes every allowed line the base shows for a path the
-  /// delta touches, so a stale line of a replaced or removed path can
-  /// never be allowed through an older layer.
+  /// the layer classes only the paths `delta` names (a removal as
+  /// removed) and holds the template hashes of the lines it adds;
+  /// everything else resolves through the shared base, and the base's
+  /// compiled exclude list is shared by pointer. A layer that defines a
+  /// path shadows the older layers' lines for it, so a stale line of a
+  /// replaced or removed path is never allowed.
   /// For the paper's §III-C shape (a ~1.3k-entry daily update against a
   /// 300k-entry base) the layer costs O(delta), not O(base) — neither
-  /// the per-path exclude-glob scan of a full build nor a deep copy of
-  /// the base table. Every kMaxLayerDepth layers the chain is flattened
-  /// (one deep copy of the root's path table and template-hash set,
-  /// replaying the overlays into both) so lookup depth stays
-  /// bounded under an unbounded stream of daily deltas. Preconditions
-  /// (the pool's push path guarantees them): `base` indexes the policy
-  /// delta.base_digest names, and `target` == apply(base policy, delta).
-  /// Falls back to a full build when the delta replaces the exclude
-  /// list, since every precomputed per-path exclusion verdict goes stale
-  /// then. The result is a fresh snapshot: new uid, caller-supplied
-  /// revision.
+  /// the per-path exclude-glob scan of a full build nor a copy of the
+  /// base table. Every kMaxLayerDepth layers the chain is flattened: a
+  /// root is rebuilt from `target`, each path's class taken from the
+  /// chain instead of a glob scan and every allowed line re-hashed, so
+  /// lookup depth stays bounded under an unbounded stream of daily
+  /// deltas. The flatten is not a full build (full_build_count() does
+  /// not move). Preconditions (the pool's push path guarantees them):
+  /// `base` indexes the policy delta.base_digest names, and `target` ==
+  /// apply(base policy, delta). Falls back to a full build when the
+  /// delta replaces the exclude list, since every precomputed path class
+  /// goes stale then. The result is a fresh snapshot: new uid,
+  /// caller-supplied revision.
   static std::shared_ptr<const PolicyIndex> build_incremental(
       const std::shared_ptr<const PolicyIndex>& base,
       const RuntimePolicy& target, const policy_store::PolicyDelta& delta,
@@ -83,26 +92,27 @@ class PolicyIndex {
   static std::uint64_t full_build_count();
   static std::uint64_t incremental_build_count();
 
-  /// Exactly RuntimePolicy::check, answered from the index. When
-  /// `known` is non-null it reports whether the path was resolved from
-  /// the table (hit) or fell through to the exclude-glob scan (miss).
-  PolicyMatch check(const std::string& path, const std::string& hash_hex,
-                    bool* known = nullptr) const;
-  /// Digest-keyed probe: compares the digest against the stored hex
-  /// strings nibble-by-nibble instead of rendering it to a temporary
-  /// 64-byte string per call. Heterogeneous (string_view) path lookup so
-  /// zero-copy decoded entries probe without materializing the path.
+  /// Exactly RuntimePolicy::check on a measured digest: appraise() with
+  /// the template hash computed here. When `known` is non-null it
+  /// reports whether the path was resolved from the index (hit) or fell
+  /// through to the exclude-glob scan (miss). Heterogeneous (string_view)
+  /// path lookup, so zero-copy decoded entries probe without
+  /// materializing the path.
   PolicyMatch check(std::string_view path, const crypto::Digest& hash,
                     bool* known = nullptr) const;
 
-  /// The verifier's per-entry verdict. A template hash naming an allowed
-  /// line answers kAllowed from one probe per overlay layer (known =
-  /// true); anything else falls through to check(path, file_hash,
-  /// known). Equal to check(path, file_hash) — verdict and `known` —
-  /// whenever template_hash == crypto::template_hash_of(file_hash,
-  /// path). The caller owns that precondition: pass a hash it computed
-  /// from the entry itself, or checked against it where the entry came
-  /// in, never one an agent or a state blob merely claims.
+  /// The verifier's per-entry verdict. Walks the layers youngest-first:
+  /// a template hash naming one of a layer's allowed lines answers
+  /// kAllowed, and the first layer that defines the path ends the walk —
+  /// listed gives kHashMismatch, excluded kExcluded (known = true);
+  /// removed, or no layer defining it, falls through to the exclude scan
+  /// (known = false). Equal to RuntimePolicy::check(path, file_hash) —
+  /// and to check(path, file_hash), `known` included — whenever
+  /// template_hash == crypto::template_hash_of(file_hash, path), which
+  /// is why the walk never reads `file_hash` itself. The caller owns
+  /// that precondition: pass a hash it computed from the entry itself,
+  /// or checked against it where the entry came in, never one an agent
+  /// or a state blob merely claims.
   PolicyMatch appraise(std::string_view path, const crypto::Digest& file_hash,
                        const crypto::Digest& template_hash,
                        bool* known = nullptr) const;
@@ -123,8 +133,8 @@ class PolicyIndex {
   std::size_t layer_depth() const { return layer_depth_; }
 
   /// Flatten threshold: an incremental build whose overlay chain would
-  /// exceed this depth deep-copies the root and replays the layers
-  /// instead of linking another one.
+  /// exceed this depth rebuilds a root from its target instead of
+  /// linking another layer.
   static constexpr std::size_t kMaxLayerDepth = 8;
 
   /// Paths absent from the table still need an exclusion verdict. The
@@ -136,9 +146,40 @@ class PolicyIndex {
   bool excluded_by_scan(std::string_view path) const;
 
  private:
-  struct PathEntry {
-    bool excluded = false;  // is_excluded(path), precomputed at build
-    std::vector<std::string> hashes;
+  /// What a layer says about one path. kRemoved exists only on overlay
+  /// layers: the delta dropped the path, hiding every older layer.
+  enum class PathClass : std::uint8_t { kListed, kExcluded, kRemoved };
+
+  /// A path with its hash computed once, so a walk over the layers
+  /// hashes it once rather than once per layer.
+  struct HashedPath {
+    std::string_view path;
+    std::size_t hash;
+    operator std::string_view() const { return path; }
+  };
+
+  /// Transparent hash/equality so string_view and HashedPath keys probe
+  /// without an owning std::string temporary.
+  struct SvHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+    std::size_t operator()(const HashedPath& key) const { return key.hash; }
+  };
+  struct SvEq {
+    using is_transparent = void;
+    bool operator()(std::string_view a, std::string_view b) const {
+      return a == b;
+    }
+  };
+
+  /// The compiled exclude list: "DIR/*" globs keyed by their literal
+  /// prefix (ends '/'), and everything the compiler could not reduce to
+  /// a prefix probe.
+  struct Excludes {
+    std::unordered_set<std::string, SvHash, SvEq> dir_prefixes;
+    std::vector<std::string> general;
   };
 
   /// A flat open-addressing set of template hashes: power-of-two
@@ -151,17 +192,7 @@ class PolicyIndex {
    public:
     void reserve(std::size_t keys);
     void insert(const crypto::Digest& key);
-    /// Backward-shift deletion: no tombstones, probe chains stay short.
-    void erase(const crypto::Digest& key);
     bool contains(const crypto::Digest& key) const;
-
-    template <typename Fn>
-    void for_each(Fn&& fn) const {
-      if (has_zero_) fn(crypto::Digest{});
-      for (const crypto::Digest& key : slots_) {
-        if (key != crypto::Digest{}) fn(key);
-      }
-    }
 
    private:
     std::size_t home(const crypto::Digest& key) const;
@@ -172,47 +203,28 @@ class PolicyIndex {
     bool has_zero_ = false;
   };
 
-  /// The entry for `path`, walking the overlay chain youngest-first: a
-  /// patched entry wins, a tombstone hides every older layer. nullptr
-  /// when no layer holds the path.
-  const PathEntry* find(std::string_view path) const;
+  /// A root index over `policy`. Each path's class comes from `chain`
+  /// when given (the flatten: the chain already classed every path of
+  /// its target), else from the exclude scan.
+  static std::shared_ptr<PolicyIndex> build_root(
+      const RuntimePolicy& policy, std::shared_ptr<const Excludes> excludes,
+      const PolicyIndex* chain);
 
-  /// Transparent hash/equality so string_view keys probe without an
-  /// owning std::string temporary.
-  struct SvHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  struct SvEq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const {
-      return a == b;
-    }
-  };
+  /// The class the youngest layer defining `path` gives it; kRemoved
+  /// when no layer does.
+  PathClass find(const HashedPath& path) const;
 
-  /// The full table for a root index; only the patched paths for an
+  /// Every policy path on a root index; only the delta's paths on an
   /// overlay layer (lookups fall through to base_ on a miss).
-  std::unordered_map<std::string, PathEntry, SvHash, SvEq> paths_;
-  /// Overlay tombstones: paths the delta removed. A hit here hides any
-  /// base entry — the path behaves as not-in-table (exclude-scan
-  /// verdict, known=false). Empty on root indexes.
-  std::unordered_set<std::string, SvHash, SvEq> removed_;
-  /// The shared parent layer, nullptr for a root (full-build) index.
-  /// Excludes are identical across a chain (a delta that touches them
-  /// forces a full rebuild), so each layer copies the compiled globs.
+  std::unordered_map<std::string, PathClass, SvHash, SvEq> paths_;
+  /// The shared parent layer, nullptr for a root index.
   std::shared_ptr<const PolicyIndex> base_;
-  /// Compiled "DIR/*" excludes, keyed by the literal prefix (ends '/').
-  std::unordered_set<std::string, SvHash, SvEq> dir_excludes_;
-  /// Everything the compiler could not reduce to a prefix probe.
-  std::vector<std::string> general_excludes_;
+  /// One compiled list per chain: a delta that edits the exclude list
+  /// forces a full build, so every layer shares its root's.
+  std::shared_ptr<const Excludes> excludes_;
   /// Template hashes of allowed lines: all of them on a root index, the
   /// lines its delta adds on an overlay layer.
   TemplateSet allowed_;
-  /// Overlay layers only: every allowed line the base shows for a path
-  /// the delta touches. A hit stops the walk before older layers.
-  TemplateSet revoked_;
   std::size_t entry_count_ = 0;
   std::size_t path_count_ = 0;
   std::size_t layer_depth_ = 0;
@@ -226,7 +238,9 @@ class PolicyIndex {
 /// verifier's agent records and an in-flight appraisal all hold the same
 /// shared_ptr<const PolicyRevision>, so installing a revision costs one
 /// policy copy plus one index build or patch whatever the fleet size, and
-/// a revision is freed with its last agent. Policy and index live and die
+/// a revision is freed with its last agent. The policy is the revision's
+/// one copy of its hash strings: the index keeps only path classes and
+/// template hashes derived from it. Policy and index live and die
 /// together, so a stale index can never outlive its policy.
 struct PolicyRevision {
   RuntimePolicy policy;

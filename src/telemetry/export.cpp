@@ -316,4 +316,16 @@ std::string diff_snapshots(const MetricsSnapshot& before,
   return out;
 }
 
+bool is_wall_clock(const MetricPoint& point) {
+  return point.name.ends_with("_us");
+}
+
+bool differs_beyond_wall_clock(const MetricsSnapshot& before,
+                               const MetricsSnapshot& after) {
+  MetricsSnapshot old_part = before, new_part = after;
+  std::erase_if(old_part.points, is_wall_clock);
+  std::erase_if(new_part.points, is_wall_clock);
+  return !diff_snapshots(old_part, new_part).empty();
+}
+
 }  // namespace cia::telemetry

@@ -29,4 +29,14 @@ Result<MetricsSnapshot> snapshot_from_json(const json::Value& doc);
 std::string diff_snapshots(const MetricsSnapshot& before,
                            const MetricsSnapshot& after);
 
+/// Is this a wall-clock series? The `*_us` histograms time real work, so
+/// two runs of one seed differ in them; the determinism contract
+/// (docs/OBSERVABILITY.md) covers every other series.
+bool is_wall_clock(const MetricPoint& point);
+
+/// Does `after` differ from `before` in any series that is not
+/// wall-clock? What `cia_metrics diff` exits 1 on.
+bool differs_beyond_wall_clock(const MetricsSnapshot& before,
+                               const MetricsSnapshot& after);
+
 }  // namespace cia::telemetry

@@ -11,6 +11,7 @@
 #include "keylime/alert_pipeline/incident.hpp"
 #include "keylime/messages.hpp"
 #include "keylime/migration.hpp"
+#include "keylime/policy_index.hpp"
 #include "keylime/policy_store/store.hpp"
 #include "keylime/registrar.hpp"
 #include "keylime/runtime_policy.hpp"
@@ -562,6 +563,60 @@ const keylime::RuntimePolicy& delta_base_policy() {
   return *base;
 }
 
+// The indexes an accepted delta yields: an overlay layer over the base's
+// index, and a second layer over that from the reverse diff, back to the
+// base. Each must give the verdict and `known` flag of a full build of
+// its policy, and RuntimePolicy::check's verdict, on every base and
+// target path probed with its old hashes, its new hashes and a digest
+// neither policy lists. Empty when they all agree.
+std::string incremental_index_divergence(
+    const keylime::RuntimePolicy& base, const keylime::RuntimePolicy& target,
+    const keylime::policy_store::PolicyDelta& delta) {
+  using keylime::PolicyIndex;
+  std::vector<std::string> paths;
+  const auto collect = [&](const std::string& path,
+                           const std::vector<std::string>&) {
+    paths.push_back(path);
+  };
+  base.for_each_path(collect);
+  target.for_each_path(collect);
+  const auto agrees = [&](const PolicyIndex& index,
+                          const keylime::RuntimePolicy& policy) {
+    const auto fresh = PolicyIndex::build(policy);
+    for (const std::string& path : paths) {
+      std::vector<crypto::Digest> digests{crypto::sha256("bogus:" + path)};
+      for (const keylime::RuntimePolicy* side : {&base, &target}) {
+        const std::vector<std::string>* hashes = side->hashes_for(path);
+        if (hashes == nullptr) continue;
+        for (const std::string& hex : *hashes) {
+          crypto::Digest d;
+          if (crypto::digest_from_hex(hex, d)) digests.push_back(d);
+        }
+      }
+      for (const crypto::Digest& d : digests) {
+        bool known = false, fresh_known = false;
+        const keylime::PolicyMatch verdict = index.check(path, d, &known);
+        if (verdict != fresh->check(path, d, &fresh_known) ||
+            known != fresh_known || verdict != policy.check(path, d)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  const auto layer = PolicyIndex::build_incremental(PolicyIndex::build(base),
+                                                    target, delta, 1);
+  if (!agrees(*layer, target)) {
+    return "incremental index diverged from a full build of the target";
+  }
+  const auto second = PolicyIndex::build_incremental(
+      layer, base, keylime::policy_store::diff(target, base), 2);
+  if (!agrees(*second, base)) {
+    return "reverse overlay layer diverged from a full build of the base";
+  }
+  return "";
+}
+
 FuzzOutcome run_policy_delta(const Bytes& input) {
   namespace ps = keylime::policy_store;
   auto parsed = ps::PolicyDelta::parse(to_string(input));
@@ -591,6 +646,9 @@ FuzzOutcome run_policy_delta(const Bytes& input) {
       return FuzzOutcome::violation(
           "apply() output does not hash to the claimed target digest");
     }
+    const std::string divergence =
+        incremental_index_divergence(base, applied.value(), delta);
+    if (!divergence.empty()) return FuzzOutcome::violation(divergence);
   }
   return FuzzOutcome::accepted();
 }

@@ -55,6 +55,14 @@ std::string hex_of(const std::string& seed_text) {
   return crypto::digest_hex(crypto::sha256(seed_text));
 }
 
+// The digest a policy line's hex names. Every hash these tests draw is
+// one, the all-zero bogus probe included.
+crypto::Digest digest_of(const std::string& hash_hex) {
+  crypto::Digest d{};
+  EXPECT_TRUE(crypto::digest_from_hex(hash_hex, d)) << hash_hex;
+  return d;
+}
+
 // Does index->appraise() on the digest `hash_hex` names, with the
 // template hash the verifier would compute, give the oracle's verdict
 // and the same `known` flag as index->check()? Hashes that name no
@@ -237,10 +245,11 @@ std::string round_trip_failure(const RuntimePolicy& base,
     if (const auto* h = base.hashes_for(path); h && !h->empty())
       hashes.push_back(h->front());
     for (const std::string& hash : hashes) {
+      const crypto::Digest d = digest_of(hash);
       bool known_full = false, known_incr = false;
-      const PolicyMatch oracle = target.check(path, hash);
-      const PolicyMatch full = full_index->check(path, hash, &known_full);
-      const PolicyMatch incr = incr_index->check(path, hash, &known_incr);
+      const PolicyMatch oracle = target.check(path, d);
+      const PolicyMatch full = full_index->check(path, d, &known_full);
+      const PolicyMatch incr = incr_index->check(path, d, &known_incr);
       if (full != oracle)
         return "full index disagrees with RuntimePolicy::check on " + path;
       if (incr != full || known_incr != known_full)
@@ -309,8 +318,8 @@ TEST(PolicyDeltaEquivalence, DeltaChainStaysEquivalentAndFlattens) {
   std::uint64_t oracle_builds = 0;
   // Every (path, hash) line any revision of the chain ever carried. The
   // old lines of replaced and removed paths are where a stale allow
-  // would show: an overlay that forgot to revoke one lets appraise()
-  // find it in an older layer, or the flatten replays it back in.
+  // would show: an overlay that fails to shadow its paths lets
+  // appraise() find one in an older layer, or the flatten keeps it.
   std::map<std::string, std::vector<std::string>> history;
   const auto remember = [&](const RuntimePolicy& p) {
     p.for_each_path([&](const std::string& path,
@@ -352,8 +361,8 @@ TEST(PolicyDeltaEquivalence, DeltaChainStaysEquivalentAndFlattens) {
     }
 
     // Equivalent to a from-scratch build over every path the delta
-    // touched (including removals, which must tombstone through to
-    // not-in-policy) and every path the target still carries.
+    // touched (including removals, which must shadow older layers down
+    // to not-in-policy) and every path the target still carries.
     const auto fresh = PolicyIndex::build(target, 99);
     ++oracle_builds;
     EXPECT_EQ(index->entry_count(), fresh->entry_count()) << "step " << step;
@@ -371,13 +380,14 @@ TEST(PolicyDeltaEquivalence, DeltaChainStaysEquivalentAndFlattens) {
         candidates.push_back(hashes->front());
       }
       for (const std::string& h : candidates) {
+        const crypto::Digest d = digest_of(h);
         bool layered_known = false, fresh_known = false;
-        const PolicyMatch layered = index->check(path, h, &layered_known);
-        const PolicyMatch flat = fresh->check(path, h, &fresh_known);
+        const PolicyMatch layered = index->check(path, d, &layered_known);
+        const PolicyMatch flat = fresh->check(path, d, &fresh_known);
         ASSERT_EQ(layered, flat) << "step " << step << " path " << path;
         ASSERT_EQ(layered_known, fresh_known)
             << "step " << step << " path " << path;
-        ASSERT_EQ(layered, target.check(path, h))
+        ASSERT_EQ(layered, target.check(path, d))
             << "step " << step << " path " << path;
       }
     }
@@ -397,6 +407,39 @@ TEST(PolicyDeltaEquivalence, DeltaChainStaysEquivalentAndFlattens) {
   // The fresh oracle builds above are the only full builds; neither the
   // delta stream nor the flatten ever pays one.
   EXPECT_EQ(PolicyIndex::full_build_count(), full_builds_before + oracle_builds);
+}
+
+// A path a layer adds under an exclude glob is excluded in that layer,
+// and must stay excluded when the flatten rebuilds the root from the
+// target: its class comes from the youngest layer that defines it, and
+// the old root never saw the path.
+TEST(PolicyDeltaEquivalence, FlattenKeepsTheClassesLayersGave) {
+  RuntimePolicy current;
+  current.allow("/usr/bin/base", hex_of("base"));
+  current.exclude("*.log");
+  auto index = PolicyIndex::build(current, 1);
+  for (std::size_t step = 1; step <= PolicyIndex::kMaxLayerDepth + 1;
+       ++step) {
+    RuntimePolicy target = current;
+    target.allow(strformat("/var/app/run-%zu.log", step),
+                 hex_of(strformat("log-%zu", step)));
+    target.allow(strformat("/usr/bin/tool-%zu", step),
+                 hex_of(strformat("tool-%zu", step)));
+    index = PolicyIndex::build_incremental(index, target,
+                                           ps::diff(current, target), step + 1);
+    current = target;
+  }
+  ASSERT_EQ(index->layer_depth(), 0u) << "chain did not flatten";
+  const auto fresh = PolicyIndex::build(current, 99);
+  current.for_each_path([&](const std::string& path,
+                            const std::vector<std::string>& hashes) {
+    const crypto::Digest d = digest_of(hashes.front());
+    bool known = false, fresh_known = false;
+    const PolicyMatch flat = index->check(path, d, &known);
+    EXPECT_EQ(flat, current.check(path, d)) << path;
+    EXPECT_EQ(flat, fresh->check(path, d, &fresh_known)) << path;
+    EXPECT_EQ(known, fresh_known) << path;
+  });
 }
 
 // The digest really is content addressing over canonical JSON.

@@ -861,15 +861,21 @@ TEST(PolicyIndexTest, AgreesWithLinearScanOnFixedCases) {
   policy.exclude("*/scratch/*");    // general: infix glob
   const auto index = keylime::PolicyIndex::build(policy, 1);
 
-  const std::vector<std::pair<std::string, std::string>> probes = {
-      {"/usr/bin/ls", std::string(64, 'a')},
-      {"/usr/bin/ls", std::string(64, 'x')},
-      {"/var/cache/app/blob", std::string(64, 'b')},   // excluded wins
-      {"/var/cache/other/file", std::string(64, 'c')},
-      {"/opt/app/daemon.log", std::string(64, 'd')},
-      {"/opt/scratch/tool", std::string(64, 'e')},     // no infix match
-      {"/opt/x/scratch/tool", std::string(64, 'e')},
-      {"/usr/bin/unknown", std::string(64, 'f')},
+  // The digest whose hex is 64 copies of one byte's two digits.
+  const auto filled = [](std::uint8_t byte) {
+    crypto::Digest d;
+    d.fill(byte);
+    return d;
+  };
+  const std::vector<std::pair<std::string, crypto::Digest>> probes = {
+      {"/usr/bin/ls", filled(0xaa)},
+      {"/usr/bin/ls", filled(0x99)},
+      {"/var/cache/app/blob", filled(0xbb)},   // excluded wins
+      {"/var/cache/other/file", filled(0xcc)},
+      {"/opt/app/daemon.log", filled(0xdd)},
+      {"/opt/scratch/tool", filled(0xee)},     // no infix match
+      {"/opt/x/scratch/tool", filled(0xee)},
+      {"/usr/bin/unknown", filled(0xff)},
   };
   for (const auto& [path, hash] : probes) {
     EXPECT_EQ(index->check(path, hash), policy.check(path, hash)) << path;
@@ -894,10 +900,12 @@ TEST(PolicyIndexTest, ReportsHitsAndMisses) {
   const auto index = keylime::PolicyIndex::build(policy, 3);
   EXPECT_EQ(index->revision(), 3u);
 
+  crypto::Digest hash;
+  hash.fill(0xaa);  // renders as the allowed std::string(64, 'a')
   bool known = false;
-  index->check("/usr/bin/ls", std::string(64, 'a'), &known);
+  index->check("/usr/bin/ls", hash, &known);
   EXPECT_TRUE(known);
-  index->check("/usr/bin/other", std::string(64, 'a'), &known);
+  index->check("/usr/bin/other", hash, &known);
   EXPECT_FALSE(known);
 }
 

@@ -188,9 +188,7 @@ std::pair<ScenarioOutcome, telemetry::MetricsSnapshot> run_with_telemetry(
   auto run = run_scenario(sc, options);
   EXPECT_TRUE(run.ok()) << (run.ok() ? "" : run.error().message);
   telemetry::MetricsSnapshot snapshot = registry.snapshot();
-  std::erase_if(snapshot.points, [](const telemetry::MetricPoint& point) {
-    return point.name.ends_with("_us");
-  });
+  std::erase_if(snapshot.points, telemetry::is_wall_clock);
   return {run.ok() ? run.value() : ScenarioOutcome{}, std::move(snapshot)};
 }
 

@@ -202,6 +202,25 @@ TEST(ExportTest, DiffReportsAddedChangedRemoved) {
   EXPECT_TRUE(diff_snapshots(b.snapshot(), b.snapshot()).empty());
 }
 
+// Two runs of one seed differ only in the wall-clock `*_us` series, so
+// `cia_metrics diff` prints those but exits 0 on them; any other series
+// that differs, a counter here, makes it exit 1.
+TEST(ExportTest, OnlyWallClockSeriesMayDiffer) {
+  MetricsRegistry a;
+  a.counter("cia_rounds_total").inc(3);
+  a.histogram("cia_agent_quote_us", {{"agent", "a1"}}, {10.0}).observe(4);
+  MetricsRegistry b;
+  b.counter("cia_rounds_total").inc(3);
+  b.histogram("cia_agent_quote_us", {{"agent", "a1"}}, {10.0}).observe(7);
+  EXPECT_NE(diff_snapshots(a.snapshot(), b.snapshot()).find(
+                "~ cia_agent_quote_us{agent=a1}"),
+            std::string::npos);
+  EXPECT_FALSE(differs_beyond_wall_clock(a.snapshot(), b.snapshot()));
+
+  b.counter("cia_rounds_total").inc();
+  EXPECT_TRUE(differs_beyond_wall_clock(a.snapshot(), b.snapshot()));
+}
+
 // ----------------------------------------------------------- log bridge
 
 TEST(LogBridgeTest, WarnAndErrorCountRegardlessOfPrintThreshold) {

@@ -4,7 +4,9 @@
 //   cia_metrics diff BEFORE.json AFTER.json
 //       Line-oriented diff of two saved metrics snapshots: one line per
 //       added/removed/changed series, counters and gauges with deltas.
-//       Exit status 1 when the snapshots differ.
+//       Exit status 1 when a series other than a wall-clock `*_us`
+//       histogram differs: those time real work, so two runs of one
+//       seed always differ in them.
 //
 //   cia_metrics incidents PREFIX.incidents.json
 //       Render a canonical incident snapshot (written for storm kinds)
@@ -107,7 +109,9 @@ int cmd_diff(const std::string& before_path, const std::string& after_path) {
     return 0;
   }
   std::fputs(diff.c_str(), stdout);
-  return 1;
+  return telemetry::differs_beyond_wall_clock(before.value(), after.value())
+             ? 1
+             : 0;
 }
 
 }  // namespace
