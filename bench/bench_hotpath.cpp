@@ -13,8 +13,8 @@
 //                vs the old two-loop shape: a fresh scalar Sha256 and a
 //                digest_bytes() heap copy per record
 //   policy_probe PolicyIndex::appraise (one template-hash probe for an
-//                allowed entry) vs digest_hex() + RuntimePolicy::check
-//                per record
+//                allowed entry) vs RuntimePolicy::check (ordered-map
+//                path lookup + glob scan) per record
 //   end_to_end   all of the above chained, one appraisal round
 //
 // The legacy side reproduces the pre-rebuild implementation faithfully,
@@ -193,7 +193,7 @@ Workload build_workload(std::size_t entries) {
 
   add_exclude_list(w.policy, 64);
   for (std::size_t i = 0; i < w.unique_files; ++i) {
-    w.policy.allow(paths[i], crypto::digest_hex(hashes[i]));
+    w.policy.allow(paths[i], hashes[i]);
   }
   w.index = keylime::PolicyIndex::build(w.policy, 1);
 
@@ -386,19 +386,19 @@ StageResult bench_policy_probe(const Workload& w, std::size_t reps) {
     for (const ima::LogEntry& e : w.log) {
       bool known = false;
       const keylime::PolicyMatch verdict =
-          w.index->appraise(e.path, e.file_hash, e.template_hash, &known);
+          w.index->appraise(e.path, e.template_hash, &known);
       sum = sum * 31 + static_cast<std::uint64_t>(verdict);
     }
     r.fast_ms = std::min(r.fast_ms, wall_ms(start));
     r.fast_sum = sum;
 
-    // Legacy: hex-encode the hash and take the ordered-map + glob-scan
-    // RuntimePolicy::check on every record.
+    // Legacy: the ordered-map + glob-scan RuntimePolicy::check on every
+    // record, as Verifier::appraise takes it without an index.
     start = std::chrono::steady_clock::now();
     sum = 0;
     for (const ima::LogEntry& e : w.log) {
-      sum = sum * 31 + static_cast<std::uint64_t>(w.policy.check(
-                           e.path, crypto::digest_hex(e.file_hash)));
+      sum = sum * 31 +
+            static_cast<std::uint64_t>(w.policy.check(e.path, e.file_hash));
     }
     r.legacy_ms = std::min(r.legacy_ms, wall_ms(start));
     r.legacy_sum = sum;
@@ -436,7 +436,7 @@ StageResult bench_end_to_end(const Workload& w, std::size_t reps) {
           if (computed[i] != e.template_hash) ++sum;
           bool known = false;
           const keylime::PolicyMatch verdict =
-              w.index->appraise(e.path, e.file_hash, computed[i], &known);
+              w.index->appraise(e.path, computed[i], &known);
           sum = sum * 31 + static_cast<std::uint64_t>(verdict);
         }
         for (std::size_t i = 0; i < count; ++i) {
@@ -449,7 +449,7 @@ StageResult bench_end_to_end(const Workload& w, std::size_t reps) {
     r.fast_sum = sum;
 
     // Legacy: owning decode, two-loop scalar verify with per-record
-    // allocations, hex + linear policy check — the pre-rebuild round.
+    // allocations, linear policy check — the pre-rebuild round.
     start = std::chrono::steady_clock::now();
     sum = 0;
     auto owned = keylime::QuoteResponse::decode(w.encoded);
@@ -470,8 +470,8 @@ StageResult bench_end_to_end(const Workload& w, std::size_t reps) {
       }
       sum = mismatches;
       for (const ima::LogEntry& e : owned.value().entries) {
-        sum = sum * 31 + static_cast<std::uint64_t>(w.policy.check(
-                             e.path, crypto::digest_hex(e.file_hash)));
+        sum = sum * 31 +
+              static_cast<std::uint64_t>(w.policy.check(e.path, e.file_hash));
       }
       sum += digest_word(pcr);
     }

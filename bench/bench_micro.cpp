@@ -179,12 +179,12 @@ void BM_PolicyCheck(benchmark::State& state) {
   keylime::RuntimePolicy policy;
   for (int i = 0; i < state.range(0); ++i) {
     policy.allow("/usr/bin/tool" + std::to_string(i),
-                 crypto::digest_hex(crypto::sha256(std::to_string(i))));
+                 crypto::sha256(std::to_string(i)));
   }
   policy.exclude("/tmp/*");
   const std::string probe = "/usr/bin/tool" + std::to_string(state.range(0) / 2);
-  const std::string hash = crypto::digest_hex(
-      crypto::sha256(std::to_string(state.range(0) / 2)));
+  const crypto::Digest hash =
+      crypto::sha256(std::to_string(state.range(0) / 2));
   for (auto _ : state) {
     benchmark::DoNotOptimize(policy.check(probe, hash));
   }
@@ -195,7 +195,7 @@ void BM_PolicySerialize(benchmark::State& state) {
   keylime::RuntimePolicy policy;
   for (int i = 0; i < 10000; ++i) {
     policy.allow("/usr/bin/tool" + std::to_string(i),
-                 crypto::digest_hex(crypto::sha256(std::to_string(i))));
+                 crypto::sha256(std::to_string(i)));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(policy.serialize());

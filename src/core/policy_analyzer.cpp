@@ -68,13 +68,10 @@ CoverageReport analyze_coverage(const oskernel::Machine& machine,
   }
 
   // Policy entries with no on-machine counterpart.
-  const auto doc = policy.to_json();
-  if (const json::Value* digests = doc.find("digests")) {
-    for (const auto& [path, hashes] : digests->as_object()) {
-      (void)hashes;
-      if (!machine_paths.count(path)) ++report.policy_only_paths;
-    }
-  }
+  policy.for_each_path(
+      [&](const std::string& path, const std::vector<crypto::Digest>&) {
+        if (!machine_paths.count(path)) ++report.policy_only_paths;
+      });
   return report;
 }
 

@@ -24,8 +24,10 @@ Status UpdateOrchestrator::push_policy() {
   const std::string base = store_.head();
 
   // First push (or a cycle that changed nothing): full revision. A
-  // no-change push still goes through the sink — push_revision's digest
-  // cache makes it free (the index is reused, not rebuilt).
+  // no-change push still goes through the sink. What it costs is the
+  // sink's: VerifierPool::push_revision's digest cache reuses its index,
+  // but Verifier::push_revision ignores digest and delta and builds a
+  // full index on every push.
   if (base.empty() || base == digest) {
     store_.put(policy_);
     if (metrics_) {
@@ -37,9 +39,9 @@ Status UpdateOrchestrator::push_policy() {
   }
 
   // Consecutive cycle: mint the delta against the stored head, record
-  // both ends, and push digest-bound — the sink patches its index in
-  // place instead of re-indexing the 300k-entry base (§III-C's daily
-  // shape).
+  // both ends, and push digest-bound — a VerifierPool sink patches its
+  // index in place instead of re-indexing the 300k-entry base (§III-C's
+  // daily shape); a Verifier sink still builds a full one.
   const keylime::RuntimePolicy* base_policy = store_.get(base);
   const ps::PolicyDelta delta = ps::diff(*base_policy, policy_);
   store_.put(policy_);

@@ -493,14 +493,19 @@ void sha256_batch(const HashInput* in, std::size_t n, Digest* out) {
 Bytes digest_bytes(const Digest& d) { return Bytes(d.begin(), d.end()); }
 
 std::string digest_hex(const Digest& d) {
-  static const char* kHex = "0123456789abcdef";
   std::string out;
-  out.reserve(64);
-  for (std::uint8_t b : d) {
-    out.push_back(kHex[b >> 4]);
-    out.push_back(kHex[b & 0x0f]);
-  }
+  append_digest_hex(out, d);
   return out;
+}
+
+void append_digest_hex(std::string& out, const Digest& d) {
+  static const char* kHex = "0123456789abcdef";
+  char hex[2 * kSha256Size];
+  for (std::size_t i = 0; i < kSha256Size; ++i) {
+    hex[2 * i] = kHex[d[i] >> 4];
+    hex[2 * i + 1] = kHex[d[i] & 0x0f];
+  }
+  out.append(hex, sizeof(hex));
 }
 
 namespace {

@@ -100,6 +100,9 @@ Bytes digest_bytes(const Digest& d);
 /// Lowercase hex of a digest.
 std::string digest_hex(const Digest& d);
 
+/// Append digest_hex(d) to `out` without a string of its own.
+void append_digest_hex(std::string& out, const Digest& d);
+
 /// True when `hex` is a string digest_hex can render: exactly 64
 /// lowercase hex digits. Policy parsers and the delta decoder accept
 /// only this form, and only a line in this form can match a measured

@@ -280,12 +280,12 @@ StormReport run_alert_storm(const StormOptions& options) {
   const keylime::RuntimePolicy good = fleet.fleet_policy();
   keylime::RuntimePolicy bad;
   good.for_each_path([&](const std::string& path,
-                         const std::vector<std::string>& hashes) {
+                         const std::vector<crypto::Digest>& hashes) {
     if (std::find(corrupted.begin(), corrupted.end(), path) !=
         corrupted.end()) {
       bad.allow(path, crypto::sha256("storm:corrupt:" + path));
     } else {
-      for (const std::string& h : hashes) bad.allow(path, h);
+      for (const crypto::Digest& h : hashes) bad.allow(path, h);
     }
   });
   for (const std::string& glob : good.excludes()) bad.exclude(glob);

@@ -97,14 +97,12 @@ keylime::RuntimePolicy scrub_container_prefixes(
   keylime::RuntimePolicy scrubbed;
   for (const std::string& glob : policy.excludes()) scrubbed.exclude(glob);
   std::size_t rewrites = 0;
-  const json::Value doc = policy.to_json();
-  for (const auto& [path, hashes] : doc.find("digests")->as_object()) {
+  policy.for_each_path([&](const std::string& path,
+                           const std::vector<crypto::Digest>& hashes) {
     const std::string visible = machine.fs().ima_visible_path(path);
     if (visible != path) ++rewrites;
-    for (const auto& h : hashes.as_array()) {
-      scrubbed.allow(visible, h.as_string());
-    }
-  }
+    for (const crypto::Digest& h : hashes) scrubbed.allow(visible, h);
+  });
   if (rewritten) *rewritten = rewrites;
   return scrubbed;
 }

@@ -40,19 +40,16 @@ bool is_zero(const crypto::Digest& d) {
 }
 
 /// Template hashes of policy lines, a sha256_batch block at a time:
-/// add() queues one (path, hex hash) line and `sink` receives its
-/// template_hash_of(digest, path) once the block is hashed. A line whose
-/// hash is not in the digest_hex form is dropped: no measured digest
-/// renders to it, so check() never allows it. Queued paths must stay
-/// alive until the next flush().
+/// add() queues one (path, digest) line and `sink` receives its
+/// template_hash_of(digest, path) once the block is hashed. Queued paths
+/// and digests must stay alive until the next flush().
 template <typename Sink>
 class LineHasher {
  public:
   explicit LineHasher(Sink sink) : sink_(std::move(sink)) {}
 
-  void add(std::string_view path, const std::string& hash_hex) {
-    if (!crypto::digest_from_hex(hash_hex, file_hashes_[n_])) return;
-    inputs_[n_] = {file_hashes_[n_].data(), crypto::kSha256Size,
+  void add(std::string_view path, const crypto::Digest& file_hash) {
+    inputs_[n_] = {file_hash.data(), file_hash.size(),
                    reinterpret_cast<const std::uint8_t*>(path.data()),
                    path.size()};
     if (++n_ == kBlock) flush();
@@ -68,7 +65,6 @@ class LineHasher {
   static constexpr std::size_t kBlock = 128;  // a multiple of every lane width
   Sink sink_;
   std::size_t n_ = 0;
-  crypto::Digest file_hashes_[kBlock];
   crypto::HashInput inputs_[kBlock];
   crypto::Digest out_[kBlock];
 };
@@ -140,7 +136,7 @@ std::shared_ptr<PolicyIndex> PolicyIndex::build_root(
   index->allowed_.reserve(policy.entry_count());
   LineHasher allow([&](const crypto::Digest& t) { index->allowed_.insert(t); });
   policy.for_each_path(
-      [&](const std::string& path, const std::vector<std::string>& hashes) {
+      [&](const std::string& path, const std::vector<crypto::Digest>& hashes) {
         const bool excluded =
             chain != nullptr
                 ? chain->find({path, SvHash{}(path)}) == PathClass::kExcluded
@@ -148,7 +144,7 @@ std::shared_ptr<PolicyIndex> PolicyIndex::build_root(
         index->paths_.emplace(path, excluded ? PathClass::kExcluded
                                              : PathClass::kListed);
         if (!excluded) {
-          for (const std::string& h : hashes) allow.add(path, h);
+          for (const crypto::Digest& h : hashes) allow.add(path, h);
         }
       });
   allow.flush();
@@ -200,7 +196,7 @@ std::shared_ptr<const PolicyIndex> PolicyIndex::build_incremental(
                                             : PathClass::kListed;
     }
     if (cls == PathClass::kListed) {
-      for (const std::string& h : e.hashes) allow.add(e.path, h);
+      for (const crypto::Digest& h : e.hashes) allow.add(e.path, h);
     }
     index->paths_.insert_or_assign(e.path, cls);
   }
@@ -255,11 +251,10 @@ PolicyIndex::PathClass PolicyIndex::find(const HashedPath& path) const {
 PolicyMatch PolicyIndex::check(std::string_view path,
                                const crypto::Digest& hash,
                                bool* known) const {
-  return appraise(path, hash, crypto::template_hash_of(hash, path), known);
+  return appraise(path, crypto::template_hash_of(hash, path), known);
 }
 
 PolicyMatch PolicyIndex::appraise(std::string_view path,
-                                  const crypto::Digest& /*file_hash*/,
                                   const crypto::Digest& template_hash,
                                   bool* known) const {
   // Youngest layer first. A layer's set holds lines only of paths that

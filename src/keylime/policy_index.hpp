@@ -4,13 +4,14 @@
 // (46 MB) policy; RuntimePolicy::check pays an ordered-map path lookup
 // plus a glob scan over the exclude list on every call. PolicyIndex is
 // built once per policy revision and holds only what it derives from the
-// policy, never a second copy of its hash strings:
+// policy, never a second copy of its digests:
 //
 //   * the template hash of every allowed policy line, SHA-256(file_hash
-//     || path), in a flat set. The file hash has a fixed 32 bytes, so a
-//     template hash names exactly one (path, hash) line, and an allowed
-//     entry — the hot path — costs one probe on a random 32-byte key
-//     with no path hashing;
+//     || path), in a flat set, hashed straight from the policy's 32-byte
+//     digests. The file hash has a fixed 32 bytes, so a template hash
+//     names exactly one (path, hash) line, and an allowed entry — the
+//     hot path — costs one probe on a random 32-byte key with no path
+//     hashing;
 //   * each policy path's class, listed or excluded (the exclusion verdict
 //     precomputed per path), so a set miss is a hash mismatch or an
 //     exclusion from one path probe. Paths the policy does not list fall
@@ -53,10 +54,10 @@ struct PolicyDelta;
 class PolicyIndex {
  public:
   /// Build an index over `policy`: every path's class, plus the template
-  /// hash of every allowed line (its path not excluded, its hash in the
-  /// crypto::is_digest_hex form), computed with sha256_batch. `revision`
-  /// tags the snapshot (the pool bumps it once per dynamic policy push)
-  /// and is observability metadata only — lookups never consult it.
+  /// hash of every allowed line (its path not excluded), computed with
+  /// sha256_batch. `revision` tags the snapshot (the pool bumps it once
+  /// per dynamic policy push) and is observability metadata only —
+  /// lookups never consult it.
   static std::shared_ptr<const PolicyIndex> build(const RuntimePolicy& policy,
                                                   std::uint64_t revision = 0);
 
@@ -108,12 +109,12 @@ class PolicyIndex {
   /// removed, or no layer defining it, falls through to the exclude scan
   /// (known = false). Equal to RuntimePolicy::check(path, file_hash) —
   /// and to check(path, file_hash), `known` included — whenever
-  /// template_hash == crypto::template_hash_of(file_hash, path), which
-  /// is why the walk never reads `file_hash` itself. The caller owns
-  /// that precondition: pass a hash it computed from the entry itself,
-  /// or checked against it where the entry came in, never one an agent
-  /// or a state blob merely claims.
-  PolicyMatch appraise(std::string_view path, const crypto::Digest& file_hash,
+  /// template_hash == crypto::template_hash_of(file_hash, path): the
+  /// template hash names the line, so the file hash is not needed. The
+  /// caller owns that precondition: pass a hash it computed from the
+  /// entry itself, or checked against it where the entry came in, never
+  /// one an agent or a state blob merely claims.
+  PolicyMatch appraise(std::string_view path,
                        const crypto::Digest& template_hash,
                        bool* known = nullptr) const;
 
@@ -239,7 +240,7 @@ class PolicyIndex {
 /// shared_ptr<const PolicyRevision>, so installing a revision costs one
 /// policy copy plus one index build or patch whatever the fleet size, and
 /// a revision is freed with its last agent. The policy is the revision's
-/// one copy of its hash strings: the index keeps only path classes and
+/// one copy of its digests: the index keeps only path classes and
 /// template hashes derived from it. Policy and index live and die
 /// together, so a stale index can never outlive its policy.
 struct PolicyRevision {

@@ -8,15 +8,12 @@ namespace cia::keylime::policy_store {
 
 namespace {
 
-Status check_hashes(const std::vector<std::string>& hashes,
+Status check_hashes(const std::vector<crypto::Digest>& hashes,
                     const std::string& path) {
   if (hashes.empty()) {
     return err(Errc::kCorrupted, "delta entry for " + path + " has no hashes");
   }
   for (std::size_t i = 0; i < hashes.size(); ++i) {
-    if (!crypto::is_digest_hex(hashes[i])) {
-      return err(Errc::kCorrupted, "bad delta hash for " + path);
-    }
     // RuntimePolicy::allow dedups, so a duplicated hash could never
     // reproduce the target digest — reject it at the decode boundary.
     for (std::size_t j = 0; j < i; ++j) {
@@ -67,7 +64,9 @@ json::Value PolicyDelta::to_json() const {
     entry.set("path", e.path);
     if (e.op != DeltaEntry::Op::kRemove) {
       json::Value hashes{json::Array{}};
-      for (const std::string& h : e.hashes) hashes.push_back(h);
+      for (const crypto::Digest& h : e.hashes) {
+        hashes.push_back(crypto::digest_hex(h));
+      }
       entry.set("hashes", std::move(hashes));
     }
     list.push_back(std::move(entry));
@@ -168,7 +167,10 @@ Result<PolicyDelta> PolicyDelta::from_json(const json::Value& doc) {
         if (!h.is_string()) {
           return err(Errc::kCorrupted, "delta hash is not a string");
         }
-        entry.hashes.push_back(h.as_string());
+        if (!crypto::digest_from_hex(h.as_string(),
+                                     entry.hashes.emplace_back())) {
+          return err(Errc::kCorrupted, "bad delta hash for " + entry.path);
+        }
       }
       if (Status st = check_hashes(entry.hashes, entry.path); !st.ok()) {
         return st.error();
@@ -209,16 +211,17 @@ PolicyDelta diff(const RuntimePolicy& base, const RuntimePolicy& target) {
   // Both visit in sorted path order (the allow map is ordered), so one
   // merge walk over snapshots yields the patch already canonically
   // sorted.
-  using PathRef = std::pair<const std::string*, const std::vector<std::string>*>;
+  using PathRef =
+      std::pair<const std::string*, const std::vector<crypto::Digest>*>;
   std::vector<PathRef> lhs, rhs;
   lhs.reserve(base.path_count());
   rhs.reserve(target.path_count());
   base.for_each_path([&](const std::string& path,
-                         const std::vector<std::string>& hashes) {
+                         const std::vector<crypto::Digest>& hashes) {
     lhs.emplace_back(&path, &hashes);
   });
   target.for_each_path([&](const std::string& path,
-                           const std::vector<std::string>& hashes) {
+                           const std::vector<crypto::Digest>& hashes) {
     rhs.emplace_back(&path, &hashes);
   });
 

@@ -9,7 +9,9 @@
 // the ordered path map — deterministic by construction, and streamed
 // into the hash without building the tree), and an update travels as a
 // PolicyDelta: the base revision's digest, the target's, and the
-// add/remove/replace entry patch between them.
+// add/remove/replace entry patch between them. A delta entry holds its
+// acceptable hashes as 32-byte digests, as RuntimePolicy does; hex
+// exists only on the wire (PolicyDelta::to_json/from_json).
 //
 // The digest binding implements the Ozga et al. "verify the update
 // before the node does" semantics: apply() refuses a delta whose base
@@ -46,7 +48,7 @@ struct DeltaEntry {
   enum class Op { kAdd, kRemove, kReplace };
   Op op = Op::kAdd;
   std::string path;
-  std::vector<std::string> hashes;  // 64-hex each; empty for kRemove
+  std::vector<crypto::Digest> hashes;  // empty for kRemove
 
   bool operator==(const DeltaEntry&) const = default;
 };
@@ -80,9 +82,10 @@ struct PolicyDelta {
   json::Value to_json() const;
   std::string serialize() const;
 
-  /// Strict decode: version pinned, digests 64 lowercase hex, entries
-  /// strictly path-sorted with per-op hash arity enforced, unknown
-  /// fields rejected. Anything the decoder accepts re-serializes
+  /// Strict decode: version pinned, digests and entry hashes 64
+  /// lowercase hex (crypto::digest_from_hex), entries strictly
+  /// path-sorted with per-op hash arity enforced, unknown fields
+  /// rejected. Anything the decoder accepts re-serializes
   /// byte-identically.
   static Result<PolicyDelta> from_json(const json::Value& doc);
   static Result<PolicyDelta> parse(const std::string& text);

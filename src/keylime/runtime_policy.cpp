@@ -17,23 +17,20 @@ const char* policy_match_name(PolicyMatch m) {
   return "?";
 }
 
-bool RuntimePolicy::allow(const std::string& path, const std::string& hash_hex) {
-  if (!crypto::is_digest_hex(hash_hex)) return false;
-  insert(path, hash_hex);
-  return true;
-}
-
 void RuntimePolicy::allow(const std::string& path, const crypto::Digest& hash) {
-  insert(path, crypto::digest_hex(hash));
-}
-
-void RuntimePolicy::insert(const std::string& path, std::string hash_hex) {
   auto& hashes = allow_[path];
-  if (std::find(hashes.begin(), hashes.end(), hash_hex) != hashes.end()) {
+  if (std::find(hashes.begin(), hashes.end(), hash) != hashes.end()) {
     return;  // already acceptable; keep the policy line count honest
   }
-  hashes.push_back(std::move(hash_hex));
+  hashes.push_back(hash);
   ++entry_count_;
+}
+
+bool RuntimePolicy::allow(const std::string& path, const std::string& hash_hex) {
+  crypto::Digest hash;
+  if (!crypto::digest_from_hex(hash_hex, hash)) return false;
+  allow(path, hash);
+  return true;
 }
 
 void RuntimePolicy::exclude(const std::string& glob) {
@@ -48,11 +45,11 @@ bool RuntimePolicy::is_excluded(const std::string& path) const {
 }
 
 PolicyMatch RuntimePolicy::check(const std::string& path,
-                                 const std::string& hash_hex) const {
+                                 const crypto::Digest& hash) const {
   if (is_excluded(path)) return PolicyMatch::kExcluded;
   auto it = allow_.find(path);
   if (it == allow_.end()) return PolicyMatch::kNotInPolicy;
-  if (std::find(it->second.begin(), it->second.end(), hash_hex) !=
+  if (std::find(it->second.begin(), it->second.end(), hash) !=
       it->second.end()) {
     return PolicyMatch::kAllowed;
   }
@@ -60,25 +57,12 @@ PolicyMatch RuntimePolicy::check(const std::string& path,
 }
 
 PolicyMatch RuntimePolicy::check(const std::string& path,
-                                 const crypto::Digest& hash) const {
-  // Same verdict as rendering digest_hex(hash) and delegating, but the
-  // hex lands in a stack buffer: this overload is the per-entry probe of
-  // the legacy linear appraisal path, where a heap allocation per record
-  // is measurable at log scale.
+                                 const std::string& hash_hex) const {
+  crypto::Digest hash;
+  if (crypto::digest_from_hex(hash_hex, hash)) return check(path, hash);
   if (is_excluded(path)) return PolicyMatch::kExcluded;
-  auto it = allow_.find(path);
-  if (it == allow_.end()) return PolicyMatch::kNotInPolicy;
-  static const char* kHex = "0123456789abcdef";
-  char hex[64];
-  for (int i = 0; i < 32; ++i) {
-    hex[i * 2] = kHex[hash[i] >> 4];
-    hex[i * 2 + 1] = kHex[hash[i] & 0x0f];
-  }
-  const std::string_view want(hex, 64);
-  for (const std::string& h : it->second) {
-    if (h == want) return PolicyMatch::kAllowed;
-  }
-  return PolicyMatch::kHashMismatch;
+  return allow_.count(path) != 0 ? PolicyMatch::kHashMismatch
+                                 : PolicyMatch::kNotInPolicy;
 }
 
 std::uint64_t RuntimePolicy::byte_size() const {
@@ -123,8 +107,11 @@ std::string RuntimePolicy::serialize() const {
     out += "exclude " + glob + "\n";
   }
   for (const auto& [path, hashes] : allow_) {
-    for (const auto& h : hashes) {
-      out += path + " sha256:" + h + "\n";
+    for (const crypto::Digest& h : hashes) {
+      out += path;
+      out += " sha256:";
+      crypto::append_digest_hex(out, h);
+      out += '\n';
     }
   }
   return out;
@@ -142,9 +129,12 @@ Result<RuntimePolicy> RuntimePolicy::parse(const std::string& text) {
     if (sep == std::string::npos) {
       return err(Errc::kCorrupted, "bad policy line: " + line);
     }
-    if (!policy.allow(line.substr(0, sep), line.substr(sep + 8))) {
+    crypto::Digest hash;
+    if (!crypto::digest_from_hex(std::string_view(line).substr(sep + 8),
+                                 hash)) {
       return err(Errc::kCorrupted, "bad hash in line: " + line);
     }
+    policy.allow(line.substr(0, sep), hash);
   }
   return policy;
 }
@@ -176,7 +166,9 @@ json::Value RuntimePolicy::to_json() const {
   json::Value digests{json::Object{}};
   for (const auto& [path, hashes] : allow_) {
     json::Value list{json::Array{}};
-    for (const auto& h : hashes) list.push_back(h);
+    for (const crypto::Digest& h : hashes) {
+      list.push_back(crypto::digest_hex(h));
+    }
     digests.set(path, std::move(list));
   }
   doc.set(kDigestsField, std::move(digests));
@@ -191,27 +183,39 @@ void RuntimePolicy::write_canonical_json(
   std::string buf;
   buf.reserve(kCanonicalChunkBytes + 1024);
   // The buffer is handed on once it holds a chunk, checked after every
-  // string, so it outgrows its reserve by at most one escaped string.
-  const auto str = [&](std::string_view s) {
-    buf += '"';
-    json::escape(buf, s);
-    buf += '"';
+  // string or digest, so it outgrows its reserve by at most one escaped
+  // string.
+  const auto flush_full = [&] {
     if (buf.size() >= kCanonicalChunkBytes) {
       sink(buf);
       buf.clear();
     }
   };
+  const auto str = [&](std::string_view s) {
+    buf += '"';
+    json::escape(buf, s);
+    buf += '"';
+    flush_full();
+  };
   const auto key = [&](std::string_view k) {
     str(k);
     buf += ':';
   };
-  const auto list = [&](const std::vector<std::string>& items) {
+  const auto list = [&](const auto& items, const auto& item) {
     buf += '[';
     for (std::size_t i = 0; i < items.size(); ++i) {
       if (i > 0) buf += ',';
-      str(items[i]);
+      item(items[i]);
     }
     buf += ']';
+  };
+  // A digest's hex needs no escaping: it is rendered straight into the
+  // buffer, with no string of its own.
+  const auto hex = [&](const crypto::Digest& d) {
+    buf += '"';
+    crypto::append_digest_hex(buf, d);
+    buf += '"';
+    flush_full();
   };
 
   buf += '{';
@@ -222,11 +226,11 @@ void RuntimePolicy::write_canonical_json(
     if (!first) buf += ',';
     first = false;
     key(path);
-    list(hashes);
+    list(hashes, hex);
   }
   buf += "},";
   key(kExcludesField);
-  list(excludes_);
+  list(excludes_, str);
   buf += ',';
   key(kMetaField);
   buf += '{';
@@ -274,18 +278,18 @@ Result<RuntimePolicy> RuntimePolicy::from_json(const json::Value& doc) {
 
 void RuntimePolicy::for_each_path(
     const std::function<void(const std::string&,
-                             const std::vector<std::string>&)>& fn) const {
+                             const std::vector<crypto::Digest>&)>& fn) const {
   for (const auto& [path, hashes] : allow_) fn(path, hashes);
 }
 
-const std::vector<std::string>* RuntimePolicy::hashes_for(
+const std::vector<crypto::Digest>* RuntimePolicy::hashes_for(
     const std::string& path) const {
   auto it = allow_.find(path);
   return it == allow_.end() ? nullptr : &it->second;
 }
 
 void RuntimePolicy::set_hashes(const std::string& path,
-                               std::vector<std::string> hashes) {
+                               std::vector<crypto::Digest> hashes) {
   if (hashes.empty()) {
     remove_path(path);
     return;
@@ -294,6 +298,16 @@ void RuntimePolicy::set_hashes(const std::string& path,
   entry_count_ += hashes.size();
   entry_count_ -= slot.size();
   slot = std::move(hashes);
+}
+
+bool RuntimePolicy::set_hashes(const std::string& path,
+                               const std::vector<std::string>& hashes_hex) {
+  std::vector<crypto::Digest> hashes(hashes_hex.size());
+  for (std::size_t i = 0; i < hashes.size(); ++i) {
+    if (!crypto::digest_from_hex(hashes_hex[i], hashes[i])) return false;
+  }
+  set_hashes(path, std::move(hashes));
+  return true;
 }
 
 std::size_t RuntimePolicy::remove_path(const std::string& path) {

@@ -1,6 +1,13 @@
 // The Keylime runtime policy: an allowlist of (path -> acceptable hashes)
 // plus an exclude list of glob patterns.
 //
+// Each acceptable hash is held as its 32-byte SHA-256 digest. Hex exists
+// only at the text and JSON edges: parse()/serialize(), from_json()/
+// to_json()/write_canonical_json(), and the std::string overloads of
+// allow(), set_hashes() and check(), which decode it with
+// crypto::digest_from_hex. The mutators refuse hex that names no digest,
+// so every line a policy holds can match a measurement.
+//
 // Two details matter for the paper's findings:
 //   * excludes are *path globs evaluated by Keylime*, independent of the
 //     filesystem-level exclusions inside IMA — the mismatch between the
@@ -37,12 +44,13 @@ const char* policy_match_name(PolicyMatch m);
 
 class RuntimePolicy {
  public:
-  /// Append an acceptable hash for a path (keeps prior hashes). A hash
-  /// crypto::is_digest_hex rejects could never match a measurement and
-  /// would fail the policy's own parse() and from_json(), so allow()
-  /// refuses it: returns false and leaves the policy untouched.
-  bool allow(const std::string& path, const std::string& hash_hex);
+  /// Append an acceptable hash for a path (keeps prior hashes; a hash the
+  /// path already holds changes nothing).
   void allow(const std::string& path, const crypto::Digest& hash);
+  /// allow() on the digest `hash_hex` names. Hex crypto::digest_from_hex
+  /// rejects (anything but 64 lowercase hex digits) names no digest, so
+  /// it is refused: returns false and leaves the policy untouched.
+  bool allow(const std::string& path, const std::string& hash_hex);
 
   /// Add an exclude glob (Keylime-side, path based).
   void exclude(const std::string& glob);
@@ -50,8 +58,10 @@ class RuntimePolicy {
   bool is_excluded(const std::string& path) const;
 
   /// Match a measured (path, hash) pair.
-  PolicyMatch check(const std::string& path, const std::string& hash_hex) const;
   PolicyMatch check(const std::string& path, const crypto::Digest& hash) const;
+  /// check() on the digest `hash_hex` names; hex that names none matches
+  /// no line (kHashMismatch for a listed path).
+  PolicyMatch check(const std::string& path, const std::string& hash_hex) const;
 
   /// Number of (path, hash) lines — the paper's "policy lines".
   std::size_t entry_count() const { return entry_count_; }
@@ -73,9 +83,9 @@ class RuntimePolicy {
   std::size_t remove_prefix(const std::string& prefix);
 
   /// One "path sha256:hash" line per entry plus "exclude <glob>" lines.
-  /// parse() and from_json() accept only hashes crypto::is_digest_hex
-  /// admits (64 lowercase hex digits), the form policy_store's delta
-  /// decoder demands, so every diff of two parsed policies decodes.
+  /// parse() and from_json() accept only hashes crypto::digest_from_hex
+  /// decodes (64 lowercase hex digits), the form policy_store's delta
+  /// decoder demands and the only one serialize() writes.
   std::string serialize() const;
   static Result<RuntimePolicy> parse(const std::string& text);
 
@@ -101,13 +111,17 @@ class RuntimePolicy {
   void merge(const RuntimePolicy& other);
 
   /// The acceptable-hash list for one exact path (nullptr when absent).
-  const std::vector<std::string>* hashes_for(const std::string& path) const;
+  const std::vector<crypto::Digest>* hashes_for(const std::string& path) const;
 
   /// Replace the acceptable-hash list for one exact path, creating the
   /// path when absent. An empty list removes the path. This is the
   /// delta-apply primitive: unlike allow() it never merges, so applying
   /// a policy_store::PolicyDelta reproduces the target policy exactly.
-  void set_hashes(const std::string& path, std::vector<std::string> hashes);
+  void set_hashes(const std::string& path, std::vector<crypto::Digest> hashes);
+  /// set_hashes() on the digests `hashes_hex` names. Refuses the list
+  /// when any entry names none: returns false, policy untouched.
+  bool set_hashes(const std::string& path,
+                  const std::vector<std::string>& hashes_hex);
 
   /// Remove one exact path (all its hashes). Returns lines removed.
   std::size_t remove_path(const std::string& path);
@@ -122,15 +136,12 @@ class RuntimePolicy {
   /// round-trip 300k entries through JSON or text.
   void for_each_path(
       const std::function<void(const std::string& path,
-                               const std::vector<std::string>& hashes)>& fn)
-      const;
+                               const std::vector<crypto::Digest>& hashes)>&
+          fn) const;
 
  private:
-  // allow() without the digest check, for hex already known to be one.
-  void insert(const std::string& path, std::string hash_hex);
-
   // Insertion-ordered acceptable hashes per path.
-  std::map<std::string, std::vector<std::string>> allow_;
+  std::map<std::string, std::vector<crypto::Digest>> allow_;
   std::vector<std::string> excludes_;
   std::size_t entry_count_ = 0;
 };

@@ -623,7 +623,7 @@ PolicyMatch Verifier::appraise(const PolicyRevision& revision,
   if (!index) return revision.policy.check(std::string(path), file_hash);
   bool known = false;
   const PolicyMatch match =
-      index->appraise(path, file_hash, template_hash, &known);
+      index->appraise(path, template_hash, &known);
   ++(known ? index_stats_.hits : index_stats_.misses);
   return match;
 }

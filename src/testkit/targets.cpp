@@ -575,7 +575,7 @@ std::string incremental_index_divergence(
   using keylime::PolicyIndex;
   std::vector<std::string> paths;
   const auto collect = [&](const std::string& path,
-                           const std::vector<std::string>&) {
+                           const std::vector<crypto::Digest>&) {
     paths.push_back(path);
   };
   base.for_each_path(collect);
@@ -586,11 +586,8 @@ std::string incremental_index_divergence(
     for (const std::string& path : paths) {
       std::vector<crypto::Digest> digests{crypto::sha256("bogus:" + path)};
       for (const keylime::RuntimePolicy* side : {&base, &target}) {
-        const std::vector<std::string>* hashes = side->hashes_for(path);
-        if (hashes == nullptr) continue;
-        for (const std::string& hex : *hashes) {
-          crypto::Digest d;
-          if (crypto::digest_from_hex(hex, d)) digests.push_back(d);
+        if (const auto* hashes = side->hashes_for(path)) {
+          digests.insert(digests.end(), hashes->begin(), hashes->end());
         }
       }
       for (const crypto::Digest& d : digests) {
@@ -662,14 +659,14 @@ Bytes gen_policy_delta(Rng& rng) {
     switch (rng.uniform(4)) {
       case 0:
         target.set_hashes("/usr/bin/new-" + rng.ident(4),
-                          {crypto::digest_hex(crypto::sha256(rng.ident(8)))});
+                          {crypto::sha256(rng.ident(8))});
         break;
       case 1:
         target.remove_path("/usr/bin/base-" + std::to_string(rng.uniform(8)));
         break;
       case 2:
         target.set_hashes("/usr/bin/base-" + std::to_string(rng.uniform(8)),
-                          {crypto::digest_hex(crypto::sha256(rng.ident(8)))});
+                          {crypto::sha256(rng.ident(8))});
         break;
       default:
         target.exclude("/var/" + rng.ident(3) + "/*");
@@ -677,8 +674,7 @@ Bytes gen_policy_delta(Rng& rng) {
     }
   }
   if (ps::policy_digest(target) == ps::policy_digest(base)) {
-    target.set_hashes("/usr/bin/forced",
-                      {crypto::digest_hex(crypto::sha256("forced"))});
+    target.set_hashes("/usr/bin/forced", {crypto::sha256("forced")});
   }
   return to_bytes(ps::diff(base, target).serialize());
 }

@@ -10,9 +10,10 @@
 //     reference), PolicyIndex::check, PolicyIndex::appraise (with its
 //     `known` flag) and the AppraisalCache-layered probe must agree on
 //     testkit-generated policies and adversarial entries — including
-//     the SNAP/container truncated-path shapes gen_path emits, lines
-//     whose hashes no digest renders to, and excluded lines — with
-//     shrink-on-failure minimizing any offending path;
+//     the SNAP/container truncated-path shapes gen_path emits, paths
+//     whose lines were refused for hashes no digest renders to, and
+//     excluded lines — with shrink-on-failure minimizing any offending
+//     path;
 //   * alert parity, end-to-end: two verifiers attest the SAME agent over
 //     the same workload (P1-style /tmp implants, modified binaries,
 //     unknown files, reboot re-measurement), one on the indexed fast
@@ -26,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "crypto/sha256.hpp"
@@ -71,7 +71,7 @@ void expect_parity(const RuntimePolicy& policy, const PolicyIndex& index,
   bool known_indexed = false, known_appraised = false;
   const PolicyMatch indexed = index.check(path, hash, &known_indexed);
   const PolicyMatch appraised = index.appraise(
-      path, hash, crypto::template_hash_of(hash, path), &known_appraised);
+      path, crypto::template_hash_of(hash, path), &known_appraised);
   const PolicyMatch cached = cached_check(cache, index, path, hash);
   // A second probe must now be served from the cache, with the verdict
   // unchanged.
@@ -87,7 +87,7 @@ void expect_parity(const RuntimePolicy& policy, const PolicyIndex& index,
     const PolicyMatch s = policy.check(p, hash);
     bool k_check = false, k_appraise = false;
     return index.check(p, hash, &k_check) != s ||
-           index.appraise(p, hash, crypto::template_hash_of(hash, p),
+           index.appraise(p, crypto::template_hash_of(hash, p),
                           &k_appraise) != s ||
            k_check != k_appraise || cached_check(cache, index, p, hash) != s;
   };
@@ -101,10 +101,11 @@ void expect_parity(const RuntimePolicy& policy, const PolicyIndex& index,
                 << " cached=" << keylime::policy_match_name(cached);
 }
 
-// Lines only set_hashes() can create — hashes no measured digest
-// renders to, which allow() and the parsers refuse — plus an excluded
-// line whose hash does render: none of them may reach appraise()'s
-// template-hash set. Returns the digests to probe each path with.
+// Lines no measured digest could match — hashes digest_hex never
+// renders — are refused by set_hashes() as by allow() and the parsers,
+// so they never reach appraise()'s template-hash set; an excluded line
+// whose hash does render is kept. Returns the digests to probe each
+// path with.
 std::vector<std::pair<std::string, crypto::Digest>> add_unmatchable_lines(
     RuntimePolicy& policy, Rng& rng) {
   std::vector<std::pair<std::string, crypto::Digest>> probes;
@@ -123,7 +124,8 @@ std::vector<std::pair<std::string, crypto::Digest>> add_unmatchable_lines(
         hex.pop_back();
         break;
     }
-    policy.set_hashes(path, {hex});
+    EXPECT_FALSE(policy.set_hashes(path, {hex})) << hex;
+    EXPECT_EQ(policy.hashes_for(path), nullptr) << hex;
     probes.emplace_back(path, d);
   }
   const crypto::Digest d = crypto::sha256("excluded-line");
@@ -147,11 +149,9 @@ TEST(HotpathVerdictParity, GeneratedPoliciesAndAdversarialPaths) {
     // Paths the policy knows: probe with an acceptable hash, a wrong
     // hash, and a random digest.
     policy.for_each_path([&](const std::string& path,
-                             const std::vector<std::string>& hashes) {
-      crypto::Digest good{};
-      if (!hashes.empty() &&
-          hex_decode(hashes[0], good.data(), good.size())) {
-        expect_parity(policy, *index, cache, path, good, seed);
+                             const std::vector<crypto::Digest>& hashes) {
+      if (!hashes.empty()) {
+        expect_parity(policy, *index, cache, path, hashes[0], seed);
       }
       expect_parity(policy, *index, cache, path,
                     crypto::sha256("wrong:" + path), seed);

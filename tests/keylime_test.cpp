@@ -5,6 +5,7 @@
 
 #include "keylime/agent.hpp"
 #include "keylime/messages.hpp"
+#include "keylime/policy_store/store.hpp"
 #include "keylime/registrar.hpp"
 #include "keylime/runtime_policy.hpp"
 #include "keylime/tenant.hpp"
@@ -64,6 +65,34 @@ TEST(RuntimePolicyTest, AllowRefusesHashesThatAreNotDigests) {
   EXPECT_TRUE(p.allow("/usr/bin/ls", std::string(64, 'a')))
       << "a duplicate digest is accepted and changes nothing";
   EXPECT_EQ(p.entry_count(), 1u);
+}
+
+// The policy holds digests, so hex that names none has nowhere to go:
+// both string mutators refuse it whole, a set_hashes() list with one bad
+// entry included, and the policy stays exactly as it was.
+TEST(RuntimePolicyTest, MutatorsRefuseHexThatNamesNoDigest) {
+  RuntimePolicy p;
+  ASSERT_TRUE(p.allow("/usr/bin/ls", std::string(64, 'a')));
+  p.exclude("/tmp/*");
+  const std::string text = p.serialize();
+  const std::string digest = policy_store::policy_digest(p);
+  const std::string good(64, 'b');
+  for (const std::string& bad :
+       {std::string(64, 'A'), std::string(63, 'a'), std::string(63, 'a') + "g",
+        std::string(), "\"\\\t\x01\x7f\xff" + std::string(58, 'a')}) {
+    EXPECT_FALSE(p.allow("/usr/bin/tool", bad)) << bad;
+    EXPECT_FALSE(p.allow("/usr/bin/ls", bad)) << bad;
+    EXPECT_FALSE(p.set_hashes("/usr/bin/tool", {bad})) << bad;
+    EXPECT_FALSE(p.set_hashes("/usr/bin/ls", {good, bad})) << bad;
+    EXPECT_EQ(p.entry_count(), 1u) << bad;
+    EXPECT_EQ(p.serialize(), text) << bad;
+    EXPECT_EQ(policy_store::policy_digest(p), digest) << bad;
+  }
+  EXPECT_EQ(p.hashes_for("/usr/bin/tool"), nullptr);
+  EXPECT_TRUE(p.set_hashes("/usr/bin/ls", {good}));
+  EXPECT_EQ(p.check("/usr/bin/ls", good), PolicyMatch::kAllowed);
+  EXPECT_EQ(p.check("/usr/bin/ls", std::string(64, 'a')),
+            PolicyMatch::kHashMismatch);
 }
 
 TEST(RuntimePolicyTest, DedupKeepsNewestHash) {

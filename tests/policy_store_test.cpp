@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "common/hex.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/strutil.hpp"
@@ -55,26 +54,15 @@ std::string hex_of(const std::string& seed_text) {
   return crypto::digest_hex(crypto::sha256(seed_text));
 }
 
-// The digest a policy line's hex names. Every hash these tests draw is
-// one, the all-zero bogus probe included.
-crypto::Digest digest_of(const std::string& hash_hex) {
-  crypto::Digest d{};
-  EXPECT_TRUE(crypto::digest_from_hex(hash_hex, d)) << hash_hex;
-  return d;
-}
-
-// Does index->appraise() on the digest `hash_hex` names, with the
-// template hash the verifier would compute, give the oracle's verdict
-// and the same `known` flag as index->check()? Hashes that name no
-// digest have no entry to appraise and pass vacuously.
+// Does index->appraise() on digest `d`, with the template hash the
+// verifier would compute, give the oracle's verdict and the same `known`
+// flag as index->check()?
 bool appraise_agrees(const PolicyIndex& index, const RuntimePolicy& oracle,
-                     const std::string& path, const std::string& hash_hex) {
-  crypto::Digest d{};
-  if (!hex_decode(hash_hex, d.data(), d.size())) return true;
+                     const std::string& path, const crypto::Digest& d) {
   bool known_check = false, known_appraise = false;
   const PolicyMatch checked = index.check(path, d, &known_check);
   const PolicyMatch appraised = index.appraise(
-      path, d, crypto::template_hash_of(d, path), &known_appraise);
+      path, crypto::template_hash_of(d, path), &known_appraise);
   return appraised == oracle.check(path, d) && appraised == checked &&
          known_appraise == known_check;
 }
@@ -87,7 +75,7 @@ struct Edit {
   enum class Kind { kAdd, kRemove, kReplace, kExclude };
   Kind kind = Kind::kAdd;
   std::string path;                 // add/remove/replace
-  std::vector<std::string> hashes;  // add/replace
+  std::vector<crypto::Digest> hashes;  // add/replace
   std::string glob;                 // exclude
 };
 
@@ -132,10 +120,12 @@ RuntimePolicy apply_edits(const RuntimePolicy& base,
   return target;
 }
 
-std::vector<std::string> fresh_hashes(Rng& rng) {
-  std::vector<std::string> hashes;
+std::vector<crypto::Digest> fresh_hashes(Rng& rng) {
+  std::vector<crypto::Digest> hashes;
   const std::size_t n = 1 + rng.uniform(3);
-  for (std::size_t i = 0; i < n; ++i) hashes.push_back(hex_of(rng.ident(12)));
+  for (std::size_t i = 0; i < n; ++i) {
+    hashes.push_back(crypto::sha256(rng.ident(12)));
+  }
   return hashes;
 }
 
@@ -149,7 +139,7 @@ std::vector<Edit> gen_edits(Rng& rng, const RuntimePolicy& base,
                             std::uint64_t tag) {
   std::vector<std::string> paths;
   base.for_each_path([&](const std::string& path,
-                         const std::vector<std::string>&) {
+                         const std::vector<crypto::Digest>&) {
     paths.push_back(path);
   });
 
@@ -227,25 +217,24 @@ std::string round_trip_failure(const RuntimePolicy& base,
 
   std::vector<std::string> probes;
   base.for_each_path([&](const std::string& path,
-                         const std::vector<std::string>&) {
+                         const std::vector<crypto::Digest>&) {
     probes.push_back(path);
   });
   target.for_each_path([&](const std::string& path,
-                           const std::vector<std::string>&) {
+                           const std::vector<crypto::Digest>&) {
     probes.push_back(path);
   });
   Rng probe_rng(ps::policy_digest(target).size() + target.entry_count());
   for (int i = 0; i < 16; ++i) probes.push_back(testkit::gen_path(probe_rng));
 
-  const std::string bogus(64, '0');
+  const crypto::Digest bogus{};  // all zero
   for (const std::string& path : probes) {
-    std::vector<std::string> hashes{bogus};
+    std::vector<crypto::Digest> hashes{bogus};
     if (const auto* h = target.hashes_for(path); h && !h->empty())
       hashes.push_back(h->front());
     if (const auto* h = base.hashes_for(path); h && !h->empty())
       hashes.push_back(h->front());
-    for (const std::string& hash : hashes) {
-      const crypto::Digest d = digest_of(hash);
+    for (const crypto::Digest& d : hashes) {
       bool known_full = false, known_incr = false;
       const PolicyMatch oracle = target.check(path, d);
       const PolicyMatch full = full_index->check(path, d, &known_full);
@@ -254,9 +243,9 @@ std::string round_trip_failure(const RuntimePolicy& base,
         return "full index disagrees with RuntimePolicy::check on " + path;
       if (incr != full || known_incr != known_full)
         return "incremental index diverged from full build on " + path;
-      if (!appraise_agrees(*full_index, target, path, hash))
+      if (!appraise_agrees(*full_index, target, path, d))
         return "full index appraise() disagrees with check() on " + path;
-      if (!appraise_agrees(*incr_index, target, path, hash))
+      if (!appraise_agrees(*incr_index, target, path, d))
         return "incremental index appraise() disagrees with check() on " +
                path;
     }
@@ -320,12 +309,12 @@ TEST(PolicyDeltaEquivalence, DeltaChainStaysEquivalentAndFlattens) {
   // old lines of replaced and removed paths are where a stale allow
   // would show: an overlay that fails to shadow its paths lets
   // appraise() find one in an older layer, or the flatten keeps it.
-  std::map<std::string, std::vector<std::string>> history;
+  std::map<std::string, std::vector<crypto::Digest>> history;
   const auto remember = [&](const RuntimePolicy& p) {
     p.for_each_path([&](const std::string& path,
-                        const std::vector<std::string>& hashes) {
-      std::vector<std::string>& seen = history[path];
-      for (const std::string& h : hashes) {
+                        const std::vector<crypto::Digest>& hashes) {
+      std::vector<crypto::Digest>& seen = history[path];
+      for (const crypto::Digest& h : hashes) {
         if (std::find(seen.begin(), seen.end(), h) == seen.end()) {
           seen.push_back(h);
         }
@@ -370,17 +359,17 @@ TEST(PolicyDeltaEquivalence, DeltaChainStaysEquivalentAndFlattens) {
     std::vector<std::string> probes;
     for (const ps::DeltaEntry& e : delta.entries) probes.push_back(e.path);
     target.for_each_path([&](const std::string& path,
-                             const std::vector<std::string>&) {
+                             const std::vector<crypto::Digest>&) {
       probes.push_back(path);
     });
     for (const std::string& path : probes) {
-      const std::vector<std::string>* hashes = target.hashes_for(path);
-      std::vector<std::string> candidates = {hex_of("bogus:" + path)};
+      const std::vector<crypto::Digest>* hashes = target.hashes_for(path);
+      std::vector<crypto::Digest> candidates = {
+          crypto::sha256("bogus:" + path)};
       if (hashes != nullptr && !hashes->empty()) {
         candidates.push_back(hashes->front());
       }
-      for (const std::string& h : candidates) {
-        const crypto::Digest d = digest_of(h);
+      for (const crypto::Digest& d : candidates) {
         bool layered_known = false, fresh_known = false;
         const PolicyMatch layered = index->check(path, d, &layered_known);
         const PolicyMatch flat = fresh->check(path, d, &fresh_known);
@@ -393,12 +382,13 @@ TEST(PolicyDeltaEquivalence, DeltaChainStaysEquivalentAndFlattens) {
     }
     remember(target);
     for (const auto& [path, hashes] : history) {
-      for (const std::string& h : hashes) {
+      for (const crypto::Digest& h : hashes) {
         ASSERT_TRUE(appraise_agrees(*index, target, path, h))
             << "step " << step << " depth " << index->layer_depth()
-            << " path " << path << " hash " << h;
+            << " path " << path << " hash " << crypto::digest_hex(h);
         ASSERT_TRUE(appraise_agrees(*fresh, target, path, h))
-            << "step " << step << " path " << path << " hash " << h;
+            << "step " << step << " path " << path << " hash "
+            << crypto::digest_hex(h);
       }
     }
     current = target;
@@ -432,14 +422,47 @@ TEST(PolicyDeltaEquivalence, FlattenKeepsTheClassesLayersGave) {
   ASSERT_EQ(index->layer_depth(), 0u) << "chain did not flatten";
   const auto fresh = PolicyIndex::build(current, 99);
   current.for_each_path([&](const std::string& path,
-                            const std::vector<std::string>& hashes) {
-    const crypto::Digest d = digest_of(hashes.front());
+                            const std::vector<crypto::Digest>& hashes) {
+    const crypto::Digest& d = hashes.front();
     bool known = false, fresh_known = false;
     const PolicyMatch flat = index->check(path, d, &known);
     EXPECT_EQ(flat, current.check(path, d)) << path;
     EXPECT_EQ(flat, fresh->check(path, d, &fresh_known)) << path;
     EXPECT_EQ(known, fresh_known) << path;
   });
+}
+
+// The flatten takes each path's class from the chain; where two layers
+// define a path the youngest must win, as in appraise()'s walk.
+// An excluded base path that one layer removes and a later layer adds
+// back is excluded again after the flatten, never listed with its lines
+// allowed.
+TEST(PolicyDeltaEquivalence, FlattenTakesTheYoungestLayersClass) {
+  RuntimePolicy current;
+  current.allow("/usr/bin/base", hex_of("base"));
+  current.allow("/var/app/run.log", hex_of("log-0"));
+  current.exclude("*.log");
+  auto index = PolicyIndex::build(current, 1);
+  for (std::size_t step = 1; step <= PolicyIndex::kMaxLayerDepth + 1;
+       ++step) {
+    RuntimePolicy target = current;
+    if (step == 1) target.remove_path("/var/app/run.log");
+    if (step == 2) target.allow("/var/app/run.log", hex_of("log-2"));
+    target.allow(strformat("/usr/bin/tool-%zu", step),
+                 hex_of(strformat("tool-%zu", step)));
+    index = PolicyIndex::build_incremental(index, target,
+                                           ps::diff(current, target), step + 1);
+    current = target;
+  }
+  ASSERT_EQ(index->layer_depth(), 0u) << "chain did not flatten";
+  const auto fresh = PolicyIndex::build(current, 99);
+  const crypto::Digest d = crypto::sha256("log-2");
+  bool known = false, fresh_known = false;
+  EXPECT_EQ(index->check("/var/app/run.log", d, &known),
+            PolicyMatch::kExcluded);
+  EXPECT_EQ(fresh->check("/var/app/run.log", d, &fresh_known),
+            PolicyMatch::kExcluded);
+  EXPECT_EQ(known, fresh_known);
 }
 
 // The digest really is content addressing over canonical JSON.
@@ -525,14 +548,15 @@ TEST(PolicyDigestTest, StreamedDigestMatchesCanonicalJsonEdgeCases) {
   hostile.exclude(std::string(1, '\x1f'));
   expect_streamed_equals_dom(hostile, "escape-heavy paths and globs");
 
-  // set_hashes() takes any hash string (allow() refuses what is not a
-  // digest); the canonical form escapes it like any other string.
+  // set_hashes() refuses hash strings that name no digest, as allow()
+  // does, so no canonical form carries one.
   RuntimePolicy odd_hashes;
-  odd_hashes.set_hashes("/bin/upper", {std::string(64, 'A')});
-  odd_hashes.set_hashes("/bin/short", {"abc"});
-  odd_hashes.set_hashes("/bin/empty", {""});
-  odd_hashes.set_hashes("/bin/escapes",
-                        {"\"\\\t\x01\x7f\xff" + std::string(58, 'z')});
+  EXPECT_FALSE(odd_hashes.set_hashes("/bin/upper", {std::string(64, 'A')}));
+  EXPECT_FALSE(odd_hashes.set_hashes("/bin/short", {"abc"}));
+  EXPECT_FALSE(odd_hashes.set_hashes("/bin/empty", {""}));
+  EXPECT_FALSE(odd_hashes.set_hashes(
+      "/bin/escapes", {"\"\\\t\x01\x7f\xff" + std::string(58, 'z')}));
+  EXPECT_EQ(odd_hashes.entry_count(), 0u);
   expect_streamed_equals_dom(odd_hashes, "hash strings that are not hex");
 }
 
@@ -577,18 +601,21 @@ TEST(PolicyDigestTest, StreamedDigestMatchesCanonicalJsonAcrossSeeds) {
 
 // One literal digest, recorded when the digest was still computed from
 // the JSON tree: guards against the tree's dump() (the oracle above)
-// drifting together with the streamed writer.
+// drifting together with the streamed writer. The tab path's hash was
+// 64 uppercase 'F's until set_hashes() began refusing hex that names no
+// digest; its lowercase form (the same 32 bytes 0xff) was pinned from
+// the last build that stored hex strings.
 TEST(PolicyDigestTest, PinnedDigestOfAFixedPolicy) {
   RuntimePolicy p;
   p.allow("/usr/bin/bash", hex_of("bash"));
   p.allow("/usr/bin/bash", hex_of("bash-2"));
   p.allow("/usr/lib/x86_64-linux-gnu/libc.so.6", hex_of("libc"));
   p.allow("/usr/share/we\"ird\\dir/\x01\x1f\x7f\xc3\xa9", hex_of("weird"));
-  p.set_hashes("/tmp/tab\there", {std::string(64, 'F')});
+  ASSERT_TRUE(p.set_hashes("/tmp/tab\there", {std::string(64, 'f')}));
   p.exclude("/tmp/*");
   p.exclude("*.pyc");
   EXPECT_EQ(ps::policy_digest(p),
-            "6682f1030dfc0f98562ef8fd74e1334b76b19ca300dc4d18eb210c57317a5d5f");
+            "c8d89ae36917cc68a327b012ac1f92040e7bd39013f2cb57b5a1ea6174983fe1");
 }
 
 // ------------------------------------------------ strict-decode rejections
@@ -660,7 +687,7 @@ TEST(PolicyDeltaDecodeTest, DiffOfParsedPoliciesRoundTrips) {
     if (seed % 2 == 0) {
       // Overlapping pairs, so the delta also keeps and replaces paths.
       a_gen.for_each_path([&](const std::string& path,
-                              const std::vector<std::string>& hashes) {
+                              const std::vector<crypto::Digest>& hashes) {
         if (rng.chance(0.5)) b_gen.set_hashes(path, hashes);
       });
     }
@@ -736,13 +763,16 @@ TEST(PolicyDeltaDecodeTest, RejectionTable) {
     expect_rejected(dup.to_json(), "a duplicated entry path");
   }
   {
-    ps::PolicyDelta bad = delta;
-    bad.entries.front().hashes = {"zz"};
-    expect_rejected(bad.to_json(), "a non-hex entry hash");
+    json::Value doc = delta.to_json();
+    json::Value hashes{json::Array{}};
+    hashes.push_back("zz");
+    doc.as_object().at("entries").as_array().front().set("hashes",
+                                                         std::move(hashes));
+    expect_rejected(doc, "a non-hex entry hash");
   }
   {
     ps::PolicyDelta bad = delta;
-    bad.entries.front().hashes = {hex_of("h"), hex_of("h")};
+    bad.entries.front().hashes = {crypto::sha256("h"), crypto::sha256("h")};
     expect_rejected(bad.to_json(), "a duplicated entry hash");
   }
   {
@@ -817,7 +847,7 @@ TEST(PolicyApplyTest, TamperedEntryHashRejected) {
   target.allow("/bin/b", hex_of("b"));
   ps::PolicyDelta delta = ps::diff(base, target);
   ASSERT_EQ(delta.entries.size(), 1u);
-  delta.entries.front().hashes = {hex_of("evil")};  // wrong content
+  delta.entries.front().hashes = {crypto::sha256("evil")};  // wrong content
   auto applied = ps::apply(base, delta);
   ASSERT_FALSE(applied.ok())
       << "a patched policy that does not hash to the target must die";
@@ -832,14 +862,14 @@ TEST(PolicyApplyTest, StructuralConflictsRejectedBeforeDigestCheck) {
   add_existing.base_digest = base_digest;
   add_existing.target_digest = std::string(64, 'f');
   add_existing.entries.push_back(
-      {ps::DeltaEntry::Op::kAdd, "/bin/a", {hex_of("x")}});
+      {ps::DeltaEntry::Op::kAdd, "/bin/a", {crypto::sha256("x")}});
   EXPECT_FALSE(ps::apply(base, add_existing).ok());
 
   ps::PolicyDelta replace_missing;
   replace_missing.base_digest = base_digest;
   replace_missing.target_digest = std::string(64, 'f');
   replace_missing.entries.push_back(
-      {ps::DeltaEntry::Op::kReplace, "/bin/zz", {hex_of("x")}});
+      {ps::DeltaEntry::Op::kReplace, "/bin/zz", {crypto::sha256("x")}});
   EXPECT_FALSE(ps::apply(base, replace_missing).ok());
 
   ps::PolicyDelta remove_missing;
@@ -1062,11 +1092,11 @@ FleetOutcome run_fleet_push(bool use_delta, std::uint64_t seed) {
   // every agent trips the corrupted digest under the new revision.
   RuntimePolicy v2;
   v1.for_each_path([&](const std::string& path,
-                       const std::vector<std::string>& hashes) {
+                       const std::vector<crypto::Digest>& hashes) {
     if (path == "/usr/bin/tool-008") {
       v2.allow(path, crypto::sha256("equiv:corrupt:" + path));
     } else {
-      for (const std::string& h : hashes) v2.allow(path, h);
+      for (const crypto::Digest& h : hashes) v2.allow(path, h);
     }
   });
   for (const std::string& glob : v1.excludes()) v2.exclude(glob);

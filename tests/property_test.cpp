@@ -297,18 +297,22 @@ TEST_P(PolicyIndexProperty, IndexAgreesWithLinearScanEverywhere) {
     policy.exclude("/usr/" + rng.ident(2) + "/*");
     policy.exclude("*." + rng.ident(2));
     policy.exclude("/opt/" + rng.ident(2) + "*");
-    // Lines appraise() must keep out of its template-hash set: a hash in
-    // uppercase (the same digest, but check() compares lowercase hex),
-    // one with a non-hex digit (both through set_hashes(), since allow()
-    // refuses them), and an allowed-looking line under an excluded path.
+    // Lines no measured digest could match are refused, so they cannot
+    // reach appraise()'s template-hash set: a hash in uppercase (the same
+    // digest, in a form digest_from_hex rejects) and one with a non-hex
+    // digit. An allowed-looking line under an excluded path is kept.
     const std::string digest_hex = to_hex(rng.bytes(32));
     std::string upper = digest_hex;
     std::transform(upper.begin(), upper.end(), upper.begin(),
                    [](unsigned char c) { return std::toupper(c); });
     std::string non_hex = digest_hex;
     non_hex[5] = 'x';
-    policy.set_hashes("/usr/bin/upper-" + rng.ident(3), {upper});
-    policy.set_hashes("/usr/bin/nonhex-" + rng.ident(3), {non_hex});
+    const std::string upper_path = "/usr/bin/upper-" + rng.ident(3);
+    const std::string non_hex_path = "/usr/bin/nonhex-" + rng.ident(3);
+    const std::string before = policy.serialize();
+    EXPECT_FALSE(policy.set_hashes(upper_path, {upper}));
+    EXPECT_FALSE(policy.set_hashes(non_hex_path, {non_hex}));
+    EXPECT_EQ(policy.serialize(), before);
     policy.allow("/srv/excluded-" + rng.ident(3) + "/tool", digest_hex);
     policy.exclude("/srv/excluded-*");
     const auto index =
@@ -316,9 +320,13 @@ TEST_P(PolicyIndexProperty, IndexAgreesWithLinearScanEverywhere) {
 
     std::vector<std::pair<std::string, std::string>> probes;
     const std::string random_hash = to_hex(rng.bytes(32));
+    probes.emplace_back(upper_path, digest_hex);  // the refused lines' paths
+    probes.emplace_back(non_hex_path, digest_hex);
     policy.for_each_path(
-        [&](const std::string& path, const std::vector<std::string>& hashes) {
-          probes.emplace_back(path, hashes.front());  // policy hit
+        [&](const std::string& path,
+            const std::vector<crypto::Digest>& hashes) {
+          // policy hit
+          probes.emplace_back(path, crypto::digest_hex(hashes.front()));
           probes.emplace_back(path, random_hash);     // hash mismatch
           probes.emplace_back(path + "x", random_hash);  // near miss
           probes.emplace_back(path, digest_hex);  // the odd lines' digest
@@ -339,7 +347,7 @@ TEST_P(PolicyIndexProperty, IndexAgreesWithLinearScanEverywhere) {
       bool known_check = false, known_appraise = false;
       const keylime::PolicyMatch checked = idx.check(path, d, &known_check);
       const keylime::PolicyMatch appraised = idx.appraise(
-          path, d, crypto::template_hash_of(d, path), &known_appraise);
+          path, crypto::template_hash_of(d, path), &known_appraise);
       return checked != policy.check(path, d) || appraised != checked ||
              known_appraise != known_check;
     };

@@ -2,7 +2,6 @@
 // attestation under a lossy network, and protocol edge cases.
 #include <gtest/gtest.h>
 
-#include "common/hex.hpp"
 #include "core/policy_analyzer.hpp"
 #include "core/update_orchestrator.hpp"
 #include "experiments/chaos_experiment.hpp"
@@ -408,16 +407,16 @@ TEST(CheckpointTest, RestoreRejectsAForgedBacklogTemplateHash) {
   // Give the backlog entry the template hash of an allowed policy line.
   // Indexed appraisal answers from that hash alone, so restoring it would
   // let the unknown binary through as that line.
-  std::string allowed_path, allowed_hex;
+  std::string allowed_path;
+  crypto::Digest allowed{};
   policy.for_each_path(
-      [&](const std::string& path, const std::vector<std::string>& hashes) {
+      [&](const std::string& path, const std::vector<crypto::Digest>& hashes) {
         if (allowed_path.empty() && !policy.is_excluded(path)) {
           allowed_path = path;
-          allowed_hex = hashes.front();
+          allowed = hashes.front();
         }
       });
-  crypto::Digest allowed{};
-  ASSERT_TRUE(hex_decode(allowed_hex, allowed.data(), allowed.size()));
+  ASSERT_FALSE(allowed_path.empty());
   const json::Value genuine = bed.verifier.checkpoint();
   json::Value forged = genuine;
   json::Value& entry = forged.as_object()

@@ -22,6 +22,7 @@
 
 #include "common/log.hpp"
 #include "core/policy_generator.hpp"
+#include "keylime/policy_store/store.hpp"
 #include "pkg/archive.hpp"
 #include "pkg/mirror.hpp"
 
@@ -114,24 +115,17 @@ int cmd_diff(const std::string& old_path, const std::string& new_path) {
     std::fprintf(stderr, "cannot load inputs\n");
     return 2;
   }
-  // Compare via the JSON form: path -> hash list.
-  const auto old_doc = old_policy.value().to_json();
-  const auto new_doc = new_policy.value().to_json();
-  const auto& old_digests = old_doc.find("digests")->as_object();
-  const auto& new_digests = new_doc.find("digests")->as_object();
-
+  // policy_store::diff's entries are the changed paths, one per path.
+  const auto delta = keylime::policy_store::diff(old_policy.value(),
+                                                 new_policy.value());
+  using Op = keylime::policy_store::DeltaEntry::Op;
   std::size_t added = 0, removed = 0, rehashed = 0;
-  for (const auto& [path, hashes] : new_digests) {
-    auto it = old_digests.find(path);
-    if (it == old_digests.end()) {
-      ++added;
-    } else if (!(it->second == hashes)) {
-      ++rehashed;
+  for (const auto& e : delta.entries) {
+    switch (e.op) {
+      case Op::kAdd: ++added; break;
+      case Op::kRemove: ++removed; break;
+      case Op::kReplace: ++rehashed; break;
     }
-  }
-  for (const auto& [path, hashes] : old_digests) {
-    (void)hashes;
-    if (!new_digests.count(path)) ++removed;
   }
   std::printf("paths added:    %zu\npaths removed:  %zu\npaths re-hashed: %zu\n",
               added, removed, rehashed);
