@@ -227,7 +227,9 @@ FleetBenchResult bench_fleet(std::size_t shards, bool indexed,
   keylime::RuntimePolicy policy = fleet.fleet_policy();
   add_exclude_list(policy, 128);
   if (indexed) {
-    (void)fleet.pool().set_fleet_policy(policy);
+    const std::string digest = keylime::policy_store::policy_digest(policy);
+    (void)fleet.pool().push_revision(fleet.pool().agent_ids(), policy, digest,
+                                     nullptr);
   } else {
     // The pre-pool architecture: per-agent pushes through the legacy
     // path, linear appraisal on every entry.
@@ -293,7 +295,7 @@ ResizeBenchResult bench_resize(std::size_t from, std::size_t to,
                 fleet.init_status().error().message.c_str());
     return result;
   }
-  (void)fleet.pool().set_fleet_policy(fleet.fleet_policy());
+  (void)fleet.push_fleet_policy();
   // Give every agent real state to carry: log cursors past boot, audit
   // sub-chains, scheduler history — the resize serializes all of it.
   for (std::size_t r = 0; r < 2; ++r) {

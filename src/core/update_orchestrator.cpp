@@ -20,16 +20,13 @@ std::vector<std::string> node_ids(const std::vector<ManagedNode>& nodes) {
 
 Status UpdateOrchestrator::push_policy() {
   namespace ps = keylime::policy_store;
-  const std::string digest = ps::policy_digest(policy_);
   const std::string base = store_.head();
+  const std::string digest = store_.put(policy_);
 
   // First push (or a cycle that changed nothing): full revision. A
-  // no-change push still goes through the sink. What it costs is the
-  // sink's: VerifierPool::push_revision's digest cache reuses its index,
-  // but Verifier::push_revision ignores digest and delta and builds a
-  // full index on every push.
+  // no-change push still goes through the sink, whose PolicyHead hands
+  // back the installed revision: no copy, no index build.
   if (base.empty() || base == digest) {
-    store_.put(policy_);
     if (metrics_) {
       metrics_
           ->counter("cia_policy_delta_pushes_total", {{"mode", "full"}})
@@ -38,13 +35,10 @@ Status UpdateOrchestrator::push_policy() {
     return sink_->push_revision(node_ids(nodes_), policy_, digest, nullptr);
   }
 
-  // Consecutive cycle: mint the delta against the stored head, record
-  // both ends, and push digest-bound — a VerifierPool sink patches its
-  // index in place instead of re-indexing the 300k-entry base (§III-C's
-  // daily shape); a Verifier sink still builds a full one.
-  const keylime::RuntimePolicy* base_policy = store_.get(base);
-  const ps::PolicyDelta delta = ps::diff(*base_policy, policy_);
-  store_.put(policy_);
+  // Consecutive cycle: mint the delta against the stored base, record
+  // it, and push digest-bound — the sink patches its index in O(delta)
+  // instead of re-indexing the 300k-entry base (§III-C's daily shape).
+  const ps::PolicyDelta delta = ps::diff(*store_.get(base), policy_);
   store_.put_delta(delta);
   if (metrics_) {
     metrics_

@@ -66,21 +66,31 @@ Result<std::string> PoolFleet::spawn_agent(std::size_t ordinal) {
   return cfg.hostname;
 }
 
-keylime::RuntimePolicy PoolFleet::fleet_policy() const {
+const keylime::RuntimePolicy& PoolFleet::fleet_policy() const {
   if (!cached_policy_) {
     // Scan any live machine — the image is identical fleet-wide. Cached
     // so churn can keep pushing the policy after machine 0 has left.
     for (const auto& machine : machines_) {
       if (!machine) continue;
       cached_policy_ = scan_machine_policy(*machine, /*exclude_tmp=*/true);
+      cached_digest_ = keylime::policy_store::policy_digest(*cached_policy_);
       break;
     }
   }
-  return cached_policy_ ? *cached_policy_ : keylime::RuntimePolicy{};
+  static const keylime::RuntimePolicy kNoMachine;
+  return cached_policy_ ? *cached_policy_ : kNoMachine;
 }
 
 Status PoolFleet::push_fleet_policy() {
-  return pool_->set_fleet_policy(fleet_policy());
+  return push_fleet_policy(pool_->agent_ids());
+}
+
+Status PoolFleet::push_fleet_policy(const std::vector<std::string>& agent_ids) {
+  const keylime::RuntimePolicy& policy = fleet_policy();
+  const std::string digest = cached_policy_
+                                 ? cached_digest_
+                                 : keylime::policy_store::policy_digest(policy);
+  return pool_->push_revision(agent_ids, policy, digest, nullptr);
 }
 
 void PoolFleet::run_workload_round(std::uint64_t round) {
@@ -111,11 +121,10 @@ void PoolFleet::exec_unknown(std::size_t i) {
 Result<std::string> PoolFleet::join_agent() {
   auto id = spawn_agent(next_ordinal_++);
   if (!id.ok()) return id;
-  // Cover the joiner's image with the fleet policy: one fresh revision,
-  // applied at its shard's next batch boundary.
-  if (Status s = pool_->set_policy(id.value(), fleet_policy()); !s.ok()) {
-    return s.error();
-  }
+  // Cover the joiner's image with the fleet policy, bound at its shard's
+  // next batch boundary: the head revision itself while the fleet policy
+  // is the head.
+  if (Status s = push_fleet_policy({id.value()}); !s.ok()) return s.error();
   return id;
 }
 
@@ -277,7 +286,7 @@ StormReport run_alert_storm(const StormOptions& options) {
         "/usr/bin/tool-%03zu",
         (first_storm_slot + b) % fleet_options.binaries_per_machine));
   }
-  const keylime::RuntimePolicy good = fleet.fleet_policy();
+  const keylime::RuntimePolicy& good = fleet.fleet_policy();
   keylime::RuntimePolicy bad;
   good.for_each_path([&](const std::string& path,
                          const std::vector<crypto::Digest>& hashes) {
@@ -293,16 +302,9 @@ StormReport run_alert_storm(const StormOptions& options) {
   namespace ps = keylime::policy_store;
   std::unique_ptr<ps::RolloutController> rollout;
   if (options.rollout) {
-    // Staged mode: re-push the good policy content-addressed (seeds the
-    // pool's digest cache so the canary delta patches the installed
-    // index in place), then hand the bad revision to the rollout
-    // controller — only the canary slice ever receives it.
-    if (Status st = fleet.pool().push_revision(
-            fleet.agent_ids(), good, ps::policy_digest(good), nullptr);
-        !st.ok()) {
-      report.status = st;
-      return report;
-    }
+    // Staged mode: hand the bad revision to the rollout controller — only
+    // the canary slice ever receives it, as a delta patching the good
+    // revision the warmup installed.
     rollout =
         std::make_unique<ps::RolloutController>(&fleet.pool(), *options.rollout);
     rollout->use_telemetry(options.metrics);
@@ -311,7 +313,10 @@ StormReport run_alert_storm(const StormOptions& options) {
       report.status = st;
       return report;
     }
-  } else if (Status st = fleet.pool().set_fleet_policy(bad); !st.ok()) {
+  } else if (Status st = fleet.pool().push_revision(
+                 fleet.pool().agent_ids(), bad, ps::policy_digest(bad),
+                 nullptr);
+             !st.ok()) {
     report.status = st;
     return report;
   }

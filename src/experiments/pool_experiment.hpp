@@ -3,11 +3,11 @@
 // PoolFleet builds a VerifierPool plus N agent machines sharing one
 // deterministic image: every machine carries the same synthetic binary
 // set (content is a pure function of the path), so a single scanned
-// RuntimePolicy covers the whole fleet and one PolicyIndex revision can
-// be bulk-pushed to every shard. Machines, agents, and workloads are all
-// seeded independently of the shard count, which is what lets the
-// determinism tests compare per-agent verdicts across different pool
-// partitions.
+// RuntimePolicy covers the whole fleet and one PolicyRevision, pushed by
+// its content digest, is shared by every shard. Machines, agents, and
+// workloads are all seeded independently of the shard count, which is
+// what lets the determinism tests compare per-agent verdicts across
+// different pool partitions.
 #pragma once
 
 #include <map>
@@ -60,11 +60,13 @@ class PoolFleet {
   oskernel::Machine& machine(std::size_t i) { return *machines_.at(i); }
 
   /// The policy covering the shared fleet image (every synthetic binary,
-  /// /tmp excluded) — scanned once from machine 0.
-  keylime::RuntimePolicy fleet_policy() const;
+  /// /tmp excluded) — scanned once, with its content digest, from a live
+  /// machine.
+  const keylime::RuntimePolicy& fleet_policy() const;
 
-  /// Bulk-push fleet_policy() to every agent: one PolicyIndex revision
-  /// shared across all shards.
+  /// Push fleet_policy() to every enrolled agent by its content digest:
+  /// one revision shared across all shards, or no build at all when it is
+  /// already the pool's head.
   Status push_fleet_policy();
 
   /// One benign workload round: every machine executes a deterministic,
@@ -79,10 +81,11 @@ class PoolFleet {
   // ------------------------------------------------------------- churn
 
   /// Enrol a brand-new agent on the current ring (machine + TPM identity
-  /// + registration + fleet policy push). Ids are minted fresh and NEVER
-  /// reused: a reused id would restart the departed agent's audit
-  /// sub-chain numbering, which the cross-shard chain invariant correctly
-  /// reads as a fork. Returns the new agent id.
+  /// + registration + fleet policy push, which binds the joiner to the
+  /// head revision with no build while the fleet policy is the head). Ids
+  /// are minted fresh and NEVER reused: a reused id would restart the
+  /// departed agent's audit sub-chain numbering, which the cross-shard
+  /// chain invariant correctly reads as a fork. Returns the new agent id.
   Result<std::string> join_agent();
 
   /// The node leaves the fleet: unenroll from the pool, then destroy its
@@ -99,6 +102,7 @@ class PoolFleet {
 
  private:
   Result<std::string> spawn_agent(std::size_t ordinal);
+  Status push_fleet_policy(const std::vector<std::string>& agent_ids);
 
   PoolFleetOptions options_;
   std::unique_ptr<crypto::CertificateAuthority> tpm_ca_;
@@ -110,6 +114,7 @@ class PoolFleet {
   std::map<std::string, std::size_t> slot_;  // live agent id -> slot index
   std::size_t next_ordinal_ = 0;  // monotone: ids are never reused
   mutable std::optional<keylime::RuntimePolicy> cached_policy_;
+  mutable std::string cached_digest_;  // policy_digest(*cached_policy_)
   Status init_status_;
 };
 
@@ -153,7 +158,7 @@ ChurnReport run_churn_campaign(PoolFleet& fleet,
 
 /// A manufactured alert storm: after a few clean warmup rounds, a bad
 /// policy revision (wrong digests for a handful of fleet binaries) is
-/// bulk-pushed to every agent, while per-link drop faults keep a slice
+/// pushed to every agent, while per-link drop faults keep a slice
 /// of the fleet intermittently unreachable. Every agent then trips over
 /// every corrupted digest — agents x bad_paths identical hash-mismatch
 /// alerts, plus per-round staleness observations once
@@ -191,12 +196,11 @@ struct StormOptions {
   std::size_t resize_round = 0;
   std::size_t resize_shards = 0;
   keylime::alert_pipeline::AlertPipeline::Config pipeline;
-  /// When engaged, the bad revision is NOT bulk-pushed fleet-wide:
-  /// a RolloutController stages it onto the deterministic canary slice
-  /// and the storm becomes a canary bake — the alert budget trips the
-  /// auto-rollback (or a quiet window promotes). The initial good policy
-  /// is then pushed content-addressed so the canary delta can rebase
-  /// onto it incrementally.
+  /// When engaged, the bad revision is NOT pushed fleet-wide: a
+  /// RolloutController stages it onto the deterministic canary slice and
+  /// the storm becomes a canary bake — the alert budget trips the
+  /// auto-rollback (or a quiet window promotes). The canary delta rebases
+  /// incrementally from the good policy the warmup installed.
   std::optional<keylime::policy_store::RolloutConfig> rollout;
   telemetry::MetricsRegistry* metrics = nullptr;
 };

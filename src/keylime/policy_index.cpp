@@ -282,4 +282,27 @@ PolicyMatch PolicyIndex::appraise(std::string_view path,
                                 : PolicyMatch::kNotInPolicy;
 }
 
+// ------------------------------------------------------------- PolicyHead
+
+Result<PolicyHead::Installed> PolicyHead::install(
+    const RuntimePolicy& policy, const std::string& digest,
+    const policy_store::PolicyDelta* delta) {
+  if (digest.empty()) {
+    return err(Errc::kInvalidArgument, "a policy push needs a content digest");
+  }
+  if (revision_ != nullptr && digest == digest_) {
+    // Same content as the head: the revision already paid for.
+    return Installed{revision_, Build::kReused};
+  }
+  const bool rebases = revision_ != nullptr && delta != nullptr &&
+                       delta->base_digest == digest_ &&
+                       !delta->touches_excludes();
+  auto index = rebases ? PolicyIndex::build_incremental(revision_->index,
+                                                        policy, *delta, ++tag_)
+                       : PolicyIndex::build(policy, ++tag_);
+  revision_ = PolicyRevision::make(policy, std::move(index));
+  digest_ = digest;
+  return Installed{revision_, rebases ? Build::kIncremental : Build::kFull};
+}
+
 }  // namespace cia::keylime

@@ -55,8 +55,8 @@ class PolicyIndex {
  public:
   /// Build an index over `policy`: every path's class, plus the template
   /// hash of every allowed line (its path not excluded), computed with
-  /// sha256_batch. `revision` tags the snapshot (the pool bumps it once
-  /// per dynamic policy push) and is observability metadata only —
+  /// sha256_batch. `revision` tags the snapshot (a PolicyHead bumps it
+  /// once per revision it builds) and is observability metadata only —
   /// lookups never consult it.
   static std::shared_ptr<const PolicyIndex> build(const RuntimePolicy& policy,
                                                   std::uint64_t revision = 0);
@@ -76,7 +76,7 @@ class PolicyIndex {
   /// chain instead of a glob scan and every allowed line re-hashed, so
   /// lookup depth stays bounded under an unbounded stream of daily
   /// deltas. The flatten is not a full build (full_build_count() does
-  /// not move). Preconditions (the pool's push path guarantees them):
+  /// not move). Preconditions (PolicyHead::install guarantees them):
   /// `base` indexes the policy delta.base_digest names, and `target` ==
   /// apply(base policy, delta). Falls back to a full build when the
   /// delta replaces the exclude list, since every precomputed path class
@@ -88,8 +88,8 @@ class PolicyIndex {
       std::uint64_t revision);
 
   /// Process-wide count of full build() calls / incremental patches —
-  /// the dedupe pins: a bulk push to N agents or shards must cost one
-  /// build, and a delta push must cost zero full builds.
+  /// the dedupe pins: a push to N agents or shards must cost one build,
+  /// and a delta push must cost zero full builds.
   static std::uint64_t full_build_count();
   static std::uint64_t incremental_build_count();
 
@@ -268,6 +268,41 @@ struct PolicyRevision {
         make(RuntimePolicy{}, nullptr);
     return kEmpty;
   }
+};
+
+/// The head of a policy sink: the last revision it installed, its content
+/// digest and the revision-tag counter. install() is the one place a
+/// pushed policy becomes an indexed revision, for a solo Verifier and a
+/// VerifierPool alike. Not thread-safe: the pool installs under its lock.
+class PolicyHead {
+ public:
+  /// What an install paid for the revision it returned.
+  enum class Build { kReused, kIncremental, kFull };
+  struct Installed {
+    std::shared_ptr<const PolicyRevision> revision;
+    Build build = Build::kFull;
+  };
+
+  /// Install `policy`, whose policy_store::policy_digest is `digest`:
+  ///   * the same digest as the head: the head revision itself (no copy,
+  ///     no build, no new tag; how a rollout promotes its canary revision);
+  ///   * a `delta` rebasing from the head digest that leaves the excludes
+  ///     alone: one policy copy plus an O(delta) overlay on the head's
+  ///     index (PolicyIndex::build_incremental), §III-C's daily shape;
+  ///   * otherwise one policy copy plus a full PolicyIndex::build.
+  /// A built revision takes the next tag and becomes the head. An empty
+  /// digest is refused (kInvalidArgument), the head untouched.
+  Result<Installed> install(const RuntimePolicy& policy,
+                            const std::string& digest,
+                            const policy_store::PolicyDelta* delta);
+
+  /// Tags handed out so far: the head's tag, 0 before the first install.
+  std::uint64_t revisions() const { return tag_; }
+
+ private:
+  std::string digest_;
+  std::shared_ptr<const PolicyRevision> revision_;
+  std::uint64_t tag_ = 0;
 };
 
 }  // namespace cia::keylime

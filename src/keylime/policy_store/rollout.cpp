@@ -109,36 +109,39 @@ Status RolloutController::begin(const RuntimePolicy& base,
   if (state_ == RolloutState::kBaking)
     return err(Errc::kProtocolViolation, "a rollout is already baking");
 
-  base_policy_ = base;
-  target_policy_ = target;
-  base_digest_ = policy_digest(base);
-  target_digest_ = policy_digest(target);
-  if (base_digest_ == target_digest_)
+  // Everything is staged in locals: a refused rollout leaves no state.
+  // diff() hashes both policies; the digests come from it.
+  PolicyDelta forward = diff(base, target);
+  if (forward.base_digest == forward.target_digest)
     return err(Errc::kInvalidArgument, "rollout target equals the base");
 
-  forward_ = diff(base, target);
-  reverse_ = diff(target, base);
-
   const std::vector<std::string> fleet = pool_->agent_ids();
-  canary_ = canary_slice(fleet, config_.canary_fraction, config_.seed);
-  if (canary_.empty())
+  std::vector<std::string> canary =
+      canary_slice(fleet, config_.canary_fraction, config_.seed);
+  if (canary.empty())
     return err(Errc::kInvalidArgument, "rollout selected no canary agents");
+
+  // Canary push: delta-rebased when the pool's installed head is the
+  // base revision; only the canary slice ever sees the target until the
+  // bake window closes clean.
+  if (Status s = pool_->push_revision(canary, target, forward.target_digest,
+                                      &forward);
+      !s.ok())
+    return s;
+  target_revision_ = pool_->policy_revision();
+
+  base_policy_ = base;
+  target_policy_ = target;
+  base_digest_ = forward.base_digest;
+  target_digest_ = forward.target_digest;
+  forward_ = std::move(forward);
+  reverse_ = diff(target, base);
+  canary_ = std::move(canary);
   rest_.clear();
   for (const std::string& id : fleet) {
     if (!std::binary_search(canary_.begin(), canary_.end(), id))
       rest_.push_back(id);
   }
-
-  // Canary push: delta-rebased when the pool's installed head is the
-  // base revision (it is, when the fleet was bootstrapped through
-  // push_revision); only the canary slice ever sees the target until
-  // the bake window closes clean.
-  if (Status s =
-          pool_->push_revision(canary_, target_policy_, target_digest_,
-                               &forward_);
-      !s.ok())
-    return s;
-  target_revision_ = pool_->policy_revision();
 
   state_ = RolloutState::kBaking;
   rounds_baked_this_rollout_ = 0;

@@ -37,14 +37,14 @@ void RuntimePolicy::exclude(const std::string& glob) {
   excludes_.push_back(glob);
 }
 
-bool RuntimePolicy::is_excluded(const std::string& path) const {
+bool RuntimePolicy::is_excluded(std::string_view path) const {
   for (const std::string& glob : excludes_) {
     if (glob_match(glob, path)) return true;
   }
   return false;
 }
 
-PolicyMatch RuntimePolicy::check(const std::string& path,
+PolicyMatch RuntimePolicy::check(std::string_view path,
                                  const crypto::Digest& hash) const {
   if (is_excluded(path)) return PolicyMatch::kExcluded;
   auto it = allow_.find(path);
@@ -56,7 +56,7 @@ PolicyMatch RuntimePolicy::check(const std::string& path,
   return PolicyMatch::kHashMismatch;
 }
 
-PolicyMatch RuntimePolicy::check(const std::string& path,
+PolicyMatch RuntimePolicy::check(std::string_view path,
                                  const std::string& hash_hex) const {
   crypto::Digest hash;
   if (crypto::digest_from_hex(hash_hex, hash)) return check(path, hash);
@@ -283,7 +283,7 @@ void RuntimePolicy::for_each_path(
 }
 
 const std::vector<crypto::Digest>* RuntimePolicy::hashes_for(
-    const std::string& path) const {
+    std::string_view path) const {
   auto it = allow_.find(path);
   return it == allow_.end() ? nullptr : &it->second;
 }

@@ -55,13 +55,14 @@ class RuntimePolicy {
   /// Add an exclude glob (Keylime-side, path based).
   void exclude(const std::string& glob);
 
-  bool is_excluded(const std::string& path) const;
+  bool is_excluded(std::string_view path) const;
 
-  /// Match a measured (path, hash) pair.
-  PolicyMatch check(const std::string& path, const crypto::Digest& hash) const;
+  /// Match a measured (path, hash) pair. The path is looked up as a
+  /// string_view, so an entry decoded in place probes without a copy.
+  PolicyMatch check(std::string_view path, const crypto::Digest& hash) const;
   /// check() on the digest `hash_hex` names; hex that names none matches
   /// no line (kHashMismatch for a listed path).
-  PolicyMatch check(const std::string& path, const std::string& hash_hex) const;
+  PolicyMatch check(std::string_view path, const std::string& hash_hex) const;
 
   /// Number of (path, hash) lines — the paper's "policy lines".
   std::size_t entry_count() const { return entry_count_; }
@@ -111,7 +112,7 @@ class RuntimePolicy {
   void merge(const RuntimePolicy& other);
 
   /// The acceptable-hash list for one exact path (nullptr when absent).
-  const std::vector<crypto::Digest>* hashes_for(const std::string& path) const;
+  const std::vector<crypto::Digest>* hashes_for(std::string_view path) const;
 
   /// Replace the acceptable-hash list for one exact path, creating the
   /// path when absent. An empty list removes the path. This is the
@@ -140,8 +141,9 @@ class RuntimePolicy {
           fn) const;
 
  private:
-  // Insertion-ordered acceptable hashes per path.
-  std::map<std::string, std::vector<crypto::Digest>> allow_;
+  // Insertion-ordered acceptable hashes per path. std::less<> lets a
+  // string_view probe the map without building a std::string.
+  std::map<std::string, std::vector<crypto::Digest>, std::less<>> allow_;
   std::vector<std::string> excludes_;
   std::size_t entry_count_ = 0;
 };
@@ -161,10 +163,12 @@ class PolicySink {
 
   /// Push one content-addressed revision to many agents. `digest` is
   /// policy_store::policy_digest(policy); `delta` (may be null) rebases
-  /// it from the previously pushed revision. A sink may use both to patch
-  /// its lookup index incrementally when the delta's base digest matches
-  /// the revision it last built, instead of re-indexing 300k entries for
-  /// a 1.3k-entry daily update (the paper's §III-C shape).
+  /// it from the previously pushed revision. Both sinks install through
+  /// one PolicyHead (policy_index.hpp): a same-digest push reuses the
+  /// installed revision, and a delta whose base digest matches it patches
+  /// the lookup index in O(delta) instead of re-indexing 300k entries for
+  /// a 1.3k-entry daily update (the paper's §III-C shape). The policy is
+  /// taken by reference, so a reused push copies nothing.
   virtual Status push_revision(const std::vector<std::string>& agent_ids,
                                const RuntimePolicy& policy,
                                const std::string& digest,

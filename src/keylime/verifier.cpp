@@ -147,15 +147,14 @@ Status Verifier::set_revision(const std::string& agent_id,
 
 Status Verifier::push_revision(const std::vector<std::string>& agent_ids,
                                const RuntimePolicy& policy,
-                               const std::string& /*digest*/,
-                               const policy_store::PolicyDelta* /*delta*/) {
-  // One shared revision for the whole batch. A set_policy per agent
-  // would cost N policy copies, and leave every solo-verifier agent on
-  // the linear RuntimePolicy scan where one index build covers them all.
-  const auto revision = PolicyRevision::make(
-      policy, PolicyIndex::build(policy, ++bulk_revision_));
+                               const std::string& digest,
+                               const policy_store::PolicyDelta* delta) {
+  auto installed = head_.install(policy, digest, delta);
+  if (!installed.ok()) return installed.error();
   for (const std::string& id : agent_ids) {
-    if (Status s = set_revision(id, revision); !s.ok()) return s;
+    if (Status s = set_revision(id, installed.value().revision); !s.ok()) {
+      return s;
+    }
   }
   return Status::ok_status();
 }
@@ -620,7 +619,7 @@ PolicyMatch Verifier::appraise(const PolicyRevision& revision,
                                const crypto::Digest& file_hash,
                                const crypto::Digest& template_hash) {
   const PolicyIndex* index = revision.index.get();
-  if (!index) return revision.policy.check(std::string(path), file_hash);
+  if (!index) return revision.policy.check(path, file_hash);
   bool known = false;
   const PolicyMatch match =
       index->appraise(path, template_hash, &known);

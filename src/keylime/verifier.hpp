@@ -150,21 +150,23 @@ class Verifier : public PolicySink {
   /// Install/replace the runtime policy for one agent. The policy moves
   /// into a fresh unindexed revision, so appraisal scans
   /// RuntimePolicy::check until an indexed one is bound: an operator's
-  /// one-agent push pays no index build.
+  /// one-agent push pays no index build. The one install that bypasses
+  /// the head; push_revision is the indexed one.
   Status set_policy(const std::string& agent_id, RuntimePolicy policy);
 
-  /// Bind an agent to a shared revision (the VerifierPool path: one
-  /// revision per push, shared read-only across every shard and agent it
-  /// covers). The swap is copy-on-write: an appraisal already running
+  /// Bind an agent to a shared revision (what push_revision and a
+  /// VerifierPool's shard mailbox do: one revision per push, shared
+  /// read-only across every shard and agent it covers). The swap is copy-on-write: an appraisal already running
   /// against the old revision keeps it alive through its shared_ptr.
   /// `revision` must be non-null.
   Status set_revision(const std::string& agent_id,
                       std::shared_ptr<const PolicyRevision> revision);
 
-  /// PolicySink: builds ONE indexed revision for the batch and binds
-  /// every listed agent to it, so a solo verifier's agents get indexed
-  /// appraisal too. Every push is a full build; digest and delta are
-  /// not used.
+  /// PolicySink: installs the push through this verifier's PolicyHead,
+  /// the same decision a VerifierPool makes (the head itself for a same
+  /// digest, an O(delta) overlay for a delta rebasing from the head, else
+  /// a full build), and binds every listed agent to that one indexed
+  /// revision. An empty digest is refused.
   Status push_revision(const std::vector<std::string>& agent_ids,
                        const RuntimePolicy& policy, const std::string& digest,
                        const policy_store::PolicyDelta* delta) override;
@@ -396,7 +398,7 @@ class Verifier : public PolicySink {
   telemetry::Tracer* tracer_ = nullptr;
   crypto::Digest last_quote_digest_{};  // set by attest_once_impl
   IndexStats index_stats_;
-  std::uint64_t bulk_revision_ = 0;  // revision tags for bulk-built indexes
+  PolicyHead head_;  // the last revision push_revision installed
 };
 
 }  // namespace cia::keylime

@@ -190,13 +190,6 @@ Status VerifierPool::enroll(const std::string& agent_id,
   return Status::ok_status();
 }
 
-std::uint64_t VerifierPool::next_headless_revision() {
-  std::lock_guard<std::mutex> lock(revision_mu_);
-  head_digest_.clear();  // content of the head revision unknown now
-  head_.reset();
-  return ++revision_;
-}
-
 void VerifierPool::enqueue(
     const std::vector<std::string>& agent_ids,
     const std::shared_ptr<const PolicyRevision>& revision) {
@@ -207,84 +200,34 @@ void VerifierPool::enqueue(
   }
 }
 
-Status VerifierPool::set_policy(const std::string& agent_id,
-                                RuntimePolicy policy) {
-  const std::uint64_t revision = next_headless_revision();
-  auto index = PolicyIndex::build(policy, revision);
-  enqueue({agent_id},
-          PolicyRevision::make(std::move(policy), std::move(index)));
-  return Status::ok_status();
-}
-
-Status VerifierPool::set_policy_bulk(const std::vector<std::string>& agent_ids,
-                                     const RuntimePolicy& policy) {
-  const std::uint64_t revision = next_headless_revision();
-  // One revision for the whole push; every covered agent on every shard
-  // shares it read-only.
-  enqueue(agent_ids,
-          PolicyRevision::make(policy, PolicyIndex::build(policy, revision)));
-  return Status::ok_status();
-}
-
 Status VerifierPool::push_revision(const std::vector<std::string>& agent_ids,
                                    const RuntimePolicy& policy,
                                    const std::string& digest,
                                    const policy_store::PolicyDelta* delta) {
-  if (digest.empty()) {
-    return err(Errc::kInvalidArgument, "push_revision needs a content digest");
-  }
-  std::uint64_t revision = 0;
-  std::shared_ptr<const PolicyRevision> pushed;
-  std::shared_ptr<const PolicyIndex> base;
-  const char* mode = "full";
-  {
-    std::lock_guard<std::mutex> lock(revision_mu_);
-    if (digest == head_digest_ && head_ != nullptr) {
-      // Same content as the head: mail the head revision itself (the
-      // promote path — the canary slice already paid for this build).
-      pushed = head_;
-      mode = "reused";
-    } else {
-      revision = ++revision_;
-      if (delta != nullptr && delta->base_digest == head_digest_ &&
-          head_ != nullptr && !delta->touches_excludes()) {
-        base = head_->index;
-      }
-    }
-  }
-  if (pushed == nullptr) {
-    std::shared_ptr<const PolicyIndex> index;
-    if (base != nullptr) {
-      index = PolicyIndex::build_incremental(base, policy, *delta, revision);
-      mode = "incremental";
-    } else {
-      index = PolicyIndex::build(policy, revision);
-    }
-    pushed = PolicyRevision::make(policy, std::move(index));
-  }
-  {
-    std::lock_guard<std::mutex> lock(revision_mu_);
-    head_digest_ = digest;
-    head_ = pushed;
-  }
+  std::unique_lock<std::mutex> lock(revision_mu_);
+  auto installed = head_.install(policy, digest, delta);
+  lock.unlock();
+  if (!installed.ok()) return installed.error();
   if (metrics_) {
+    const char* mode = "full";
+    switch (installed.value().build) {
+      case PolicyHead::Build::kReused: mode = "reused"; break;
+      case PolicyHead::Build::kIncremental: mode = "incremental"; break;
+      case PolicyHead::Build::kFull: break;
+    }
     metrics_->counter("cia_policy_index_builds_total", {{"mode", mode}}).inc();
     if (delta != nullptr) {
       metrics_->counter("cia_policy_delta_entries_total", {})
           .inc(delta->entry_count());
     }
   }
-  enqueue(agent_ids, pushed);
+  enqueue(agent_ids, installed.value().revision);
   return Status::ok_status();
-}
-
-Status VerifierPool::set_fleet_policy(const RuntimePolicy& policy) {
-  return set_policy_bulk(agent_ids(), policy);
 }
 
 std::uint64_t VerifierPool::policy_revision() const {
   std::lock_guard<std::mutex> lock(revision_mu_);
-  return revision_;
+  return head_.revisions();
 }
 
 std::uint64_t VerifierPool::policy_revision_of(

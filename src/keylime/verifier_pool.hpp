@@ -22,19 +22,18 @@
 //     so the telemetry snapshot of a run is byte-identical for a fixed
 //     (seed, shard count).
 //
-// Policy updates are copy-on-write: every push builds ONE immutable
-// PolicyRevision (policy + index), enqueues a pointer to it into each
-// owning shard's mailbox, and it is bound at the shard's next batch
-// boundary (in run_round(), by the driver before the workers start). A
-// batch that started under the old revision keeps its
-// shared_ptr snapshot — a mid-round update never tears a lookup — and a
-// migrating agent carries the very same revision object to its new
-// shard.
+// Policy updates are copy-on-write: every push installs ONE immutable
+// PolicyRevision (policy + index) through the pool's PolicyHead, enqueues
+// a pointer to it into each owning shard's mailbox, and it is bound at
+// the shard's next batch boundary (in run_round(), by the driver before
+// the workers start). A batch that started under the old revision keeps
+// its shared_ptr snapshot — a mid-round update never tears a lookup —
+// and a migrating agent carries the very same revision object to its
+// new shard.
 //
 // Between rounds the driver thread may freely inspect shards (verifier,
 // audit chain, network stats); during advance_to()/run_round() only the
-// mailbox APIs (set_policy, set_policy_bulk) are safe to call from other
-// threads.
+// mailbox API (push_revision) is safe to call from other threads.
 #pragma once
 
 #include <cstdint>
@@ -163,35 +162,19 @@ class VerifierPool : public PolicySink {
   // Thread-safe (mailbox + copy-on-write revision swap); may be called
   // while a round is in flight.
 
-  /// Route one agent's policy to its owning shard. Builds a fresh
-  /// indexed revision for the agent.
-  Status set_policy(const std::string& agent_id, RuntimePolicy policy);
-
-  /// One shared revision for the whole batch — one policy copy and one
-  /// index build, shared read-only by every covered agent on every shard.
-  Status set_policy_bulk(const std::vector<std::string>& agent_ids,
-                         const RuntimePolicy& policy);
-
-  /// set_policy_bulk over every enrolled agent.
-  Status set_fleet_policy(const RuntimePolicy& policy);
-
-  /// PolicySink: content-addressed push. Three cost tiers, cheapest first:
-  ///   * `digest` equals the head revision's — the head revision object
-  ///     itself is mailed (zero copies, zero builds; how a staged rollout
-  ///     promotes the canary revision fleet-wide for free);
-  ///   * `delta` is non-null, rebases from the head digest, and leaves
-  ///     excludes alone — one policy copy plus an O(delta) patch of the
-  ///     head's index (PolicyIndex::build_incremental), §III-C's
-  ///     daily-update shape;
-  ///   * otherwise one policy copy plus a full PolicyIndex::build.
-  /// The new revision becomes the head. Plain set_policy/set_policy_bulk
-  /// clear the head: they carry no digest, so the next delta push cannot
-  /// prove what base it would be patching.
+  /// PolicySink, the pool's one policy install: the pool's PolicyHead
+  /// turns the push into a revision (the head itself for a same digest,
+  /// an O(delta) overlay for a delta rebasing from the head, else a full
+  /// build; see PolicyHead::install), counts it in
+  /// cia_policy_index_builds_total{mode}, and mails that one revision
+  /// object to the owning shard of every listed agent. An empty digest is
+  /// refused.
   Status push_revision(const std::vector<std::string>& agent_ids,
                        const RuntimePolicy& policy, const std::string& digest,
                        const policy_store::PolicyDelta* delta) override;
 
-  /// Policy revisions built so far (each bulk/single push is one).
+  /// Tag of the head revision: revisions built so far (a reused push
+  /// builds none), 0 before the first push.
   std::uint64_t policy_revision() const;
 
   /// The agent's bound revision tag (0 when unindexed/unknown).
@@ -337,10 +320,6 @@ class VerifierPool : public PolicySink {
   void enqueue(const std::vector<std::string>& agent_ids,
                const std::shared_ptr<const PolicyRevision>& revision);
 
-  /// Claim the next revision tag for a digest-less push (which clears
-  /// the head).
-  std::uint64_t next_headless_revision();
-
   void record_batch(Shard& shard, std::size_t batch_size, SimTime started);
 
   /// Compact the shard verifier's not-yet-staged alerts into the shard's
@@ -395,14 +374,11 @@ class VerifierPool : public PolicySink {
   mutable std::mutex owners_mu_;
   std::map<std::string, std::size_t> owners_;  // enrolled id -> shard
 
+  /// Guards head_: pushers install one at a time.
   mutable std::mutex revision_mu_;
-  std::uint64_t revision_ = 0;
-  /// The head: the last revision pushed through push_revision() and its
-  /// content digest — what a same-digest push reuses and the base the
-  /// next delta push patches. Guarded by revision_mu_; cleared by
-  /// digest-less pushes.
-  std::string head_digest_;
-  std::shared_ptr<const PolicyRevision> head_;
+  /// The last installed revision: what a same-digest push reuses and the
+  /// base the next delta push patches.
+  PolicyHead head_;
 
   /// Dedicated shard-to-shard handoff fabric with its own virtual clock:
   /// migration latency and injected handoff faults never touch shard

@@ -261,17 +261,13 @@ Result<ScenarioOutcome> run_fleet(const Scenario& sc,
     fo.metrics = metrics;
     PoolFleet fleet(fo);
     if (!fleet.init_status().ok()) return fleet.init_status().error();
+    if (Status s = fleet.push_fleet_policy(); !s.ok()) return s.error();
     std::unique_ptr<ps::RolloutController> rollout;
     if (sc.policy_rollout) {
-      // Content-addressed bootstrap, then stage a benign delta revision
-      // (the fleet policy plus a few synthetic paths no machine ever
-      // executes): it bakes clean and must auto-promote fleet-wide.
-      const keylime::RuntimePolicy good = fleet.fleet_policy();
-      if (Status s = fleet.pool().push_revision(
-              fleet.agent_ids(), good, ps::policy_digest(good), nullptr);
-          !s.ok()) {
-        return s.error();
-      }
+      // Stage a benign delta revision over the fleet policy (a few
+      // synthetic paths no machine ever executes): it bakes clean and
+      // must auto-promote fleet-wide.
+      const keylime::RuntimePolicy& good = fleet.fleet_policy();
       keylime::RuntimePolicy target = good;
       for (int i = 0; i < 4; ++i) {
         const std::string path = strformat("/opt/rollout/extra-%02d", i);
@@ -287,8 +283,6 @@ Result<ScenarioOutcome> run_fleet(const Scenario& sc,
       rollout->use_telemetry(metrics);
       fleet.pool().use_rollout(rollout.get());
       if (Status s = rollout->begin(good, target); !s.ok()) return s.error();
-    } else if (Status s = fleet.push_fleet_policy(); !s.ok()) {
-      return s.error();
     }
     if (sc.faults.any()) fleet.pool().set_fleet_faults(lower_faults(sc));
     FleetRun result;

@@ -668,6 +668,133 @@ TEST_F(Rig, TenantEnrollRequiresRegistration) {
   EXPECT_FALSE(tenant.enroll(agent, baseline_policy()).ok());
 }
 
+// A solo verifier installs pushes through the same PolicyHead as a pool:
+// a same digest reuses the head revision, a delta rebasing from the head
+// is an O(delta) overlay that appraises exactly like a full build, and
+// anything else is a full build.
+TEST_F(Rig, PushRevisionSharesTheHeadDecision) {
+  namespace ps = policy_store;
+  ASSERT_TRUE(agent.register_with(Registrar::address()).ok());
+  ASSERT_TRUE(verifier.add_agent("node0", agent.address()).ok());
+  const auto digest_of = [](const std::string& seed) {
+    return crypto::sha256(seed);
+  };
+
+  RuntimePolicy v1;
+  v1.exclude("/tmp/*");
+  v1.exclude("*.log");
+  for (int i = 0; i < 200; ++i) {
+    const std::string path = "/usr/bin/tool-" + std::to_string(i);
+    v1.allow(path, digest_of(path));
+    if (i % 7 == 0) v1.allow(path, digest_of(path + ":old"));
+  }
+  v1.allow("/var/app/run.log", digest_of("run.log"));
+  v1.allow("/tmp/scratch", digest_of("scratch"));
+
+  // v2: replaced, removed, added and newly excluded lines.
+  RuntimePolicy v2 = v1;
+  for (int i = 0; i < 200; i += 5) {
+    const std::string path = "/usr/bin/tool-" + std::to_string(i);
+    if (i % 10 == 0) {
+      v2.remove_path(path);
+    } else {
+      v2.set_hashes(path, std::vector<crypto::Digest>{digest_of(path + ":v2")});
+    }
+  }
+  for (int i = 0; i < 20; ++i) {
+    const std::string path = "/opt/new/tool-" + std::to_string(i);
+    v2.allow(path, digest_of(path));
+  }
+  v2.allow("/var/app/new.log", digest_of("new.log"));
+  v2.remove_path("/tmp/scratch");
+
+  const auto full = PolicyIndex::build(v2);  // the oracle for the overlay
+  const std::uint64_t full0 = PolicyIndex::full_build_count();
+  const std::uint64_t incr0 = PolicyIndex::incremental_build_count();
+  const auto builds = [&] {
+    return std::make_pair(PolicyIndex::full_build_count() - full0,
+                          PolicyIndex::incremental_build_count() - incr0);
+  };
+  using Builds = std::pair<std::uint64_t, std::uint64_t>;
+
+  const Status refused = verifier.push_revision({"node0"}, v1, "", nullptr);
+  ASSERT_FALSE(refused.ok()) << "an empty digest proves nothing";
+  EXPECT_EQ(refused.error().code, Errc::kInvalidArgument);
+  EXPECT_EQ(verifier.revision("node0"), PolicyRevision::empty());
+
+  const std::string d1 = ps::policy_digest(v1);
+  ASSERT_TRUE(verifier.push_revision({"node0"}, v1, d1, nullptr).ok());
+  const auto head = verifier.revision("node0");
+  ASSERT_NE(head->index, nullptr);
+  EXPECT_EQ(verifier.policy_revision_of("node0"), 1u);
+  EXPECT_EQ(builds(), Builds(1, 0));
+
+  // Same digest: the very head revision object, no build, no new tag.
+  ASSERT_TRUE(verifier.push_revision({"node0"}, v1, d1, nullptr).ok());
+  EXPECT_EQ(verifier.revision("node0"), head);
+  EXPECT_EQ(verifier.policy_revision_of("node0"), 1u);
+  EXPECT_EQ(builds(), Builds(1, 0));
+
+  // A delta rebasing from the head: one overlay, zero full builds.
+  const ps::PolicyDelta forward = ps::diff(v1, v2);
+  ASSERT_TRUE(
+      verifier.push_revision({"node0"}, v2, forward.target_digest, &forward)
+          .ok());
+  EXPECT_EQ(builds(), Builds(1, 1));
+  const auto overlay = verifier.revision("node0");
+  ASSERT_NE(overlay->index, nullptr);
+  EXPECT_EQ(overlay->index->layer_depth(), 1u);
+  EXPECT_EQ(verifier.policy_revision_of("node0"), 2u);
+
+  // Every line of both policies, plus a bogus digest per path, appraises
+  // as a full build of v2 does (the `known` bit included) and as v2's
+  // own linear check does.
+  std::size_t probes = 0;
+  const auto probe = [&](const std::string& path, const crypto::Digest& hash) {
+    bool known_overlay = false;
+    bool known_full = true;
+    const PolicyMatch got = overlay->index->check(path, hash, &known_overlay);
+    EXPECT_EQ(got, full->check(path, hash, &known_full)) << path;
+    EXPECT_EQ(known_overlay, known_full) << path;
+    EXPECT_EQ(got, v2.check(path, hash)) << path;
+    ++probes;
+  };
+  for (const RuntimePolicy* p : {&v1, &v2}) {
+    p->for_each_path([&](const std::string& path,
+                         const std::vector<crypto::Digest>& hashes) {
+      for (const crypto::Digest& h : hashes) probe(path, h);
+      probe(path, digest_of("bogus:" + path));
+    });
+  }
+  probe("/usr/local/bin/unknown", digest_of("unknown"));
+  EXPECT_GT(probes, v1.entry_count() + v2.entry_count());
+
+  // A delta whose base is not the head cannot rebase: a full build.
+  RuntimePolicy v3 = v1;
+  v3.allow("/opt/branch/tool", digest_of("branch"));
+  const ps::PolicyDelta off_head = ps::diff(v1, v3);
+  ASSERT_TRUE(
+      verifier.push_revision({"node0"}, v3, off_head.target_digest, &off_head)
+          .ok());
+  EXPECT_EQ(builds(), Builds(2, 1));
+  EXPECT_EQ(verifier.revision("node0")->index->layer_depth(), 0u);
+
+  // A delta from the head that replaces the excludes: a full build too.
+  RuntimePolicy v4 = v3;
+  v4.set_excludes({"/tmp/*"});
+  const ps::PolicyDelta new_excludes = ps::diff(v3, v4);
+  ASSERT_TRUE(new_excludes.touches_excludes());
+  ASSERT_TRUE(verifier
+                  .push_revision({"node0"}, v4, new_excludes.target_digest,
+                                 &new_excludes)
+                  .ok());
+  EXPECT_EQ(builds(), Builds(3, 1));
+  EXPECT_EQ(verifier.policy_revision_of("node0"), 4u);
+  EXPECT_EQ(verifier.revision("node0")->index->check(
+                "/var/app/run.log", digest_of("run.log")),
+            PolicyMatch::kAllowed);
+}
+
 TEST_F(Rig, AttestAllCoversFleet) {
   enroll();
   oskernel::MachineConfig cfg2;

@@ -999,21 +999,20 @@ TEST(PoolPushDedupTest, OneBuildPerRevisionAcrossShards) {
                                   {{"mode", "reused"}}),
             1u);
 
-  // A digest-less bulk push invalidates the cache: the next delta push
-  // cannot prove its base and must fall back to a full build.
-  ASSERT_TRUE(fleet.pool().set_policy_bulk(fleet.agent_ids(), v2).ok());
-  EXPECT_EQ(PolicyIndex::full_build_count() - full0, 2u)
-      << "set_policy_bulk costs one full build for the whole fleet";
-  RuntimePolicy v3 = v2;
+  // A delta minted against a policy that is not the head cannot prove
+  // the base it would patch: it must fall back to a full build.
+  RuntimePolicy other = v1;
+  other.set_hashes("/gen/other-branch", {hex_of("other")});
+  RuntimePolicy v3 = other;
   v3.set_hashes("/gen/daily-update-2", {hex_of("daily2")});
-  const ps::PolicyDelta delta23 = ps::diff(v2, v3);
+  const ps::PolicyDelta off_head = ps::diff(other, v3);
   ASSERT_TRUE(fleet.pool()
                   .push_revision(fleet.agent_ids(), v3, ps::policy_digest(v3),
-                                 &delta23)
+                                 &off_head)
                   .ok());
   EXPECT_EQ(PolicyIndex::incremental_build_count() - incr0, 1u)
       << "a delta must not rebase onto an unproven base";
-  EXPECT_EQ(PolicyIndex::full_build_count() - full0, 3u);
+  EXPECT_EQ(PolicyIndex::full_build_count() - full0, 2u);
 
   // The staged revisions actually land on the fleet.
   fleet.run_workload_round(0);

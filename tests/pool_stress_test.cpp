@@ -14,11 +14,14 @@
 #include <atomic>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <tuple>
 
+#include "crypto/sha256.hpp"
 #include "experiments/pool_experiment.hpp"
 #include "keylime/notifier.hpp"
+#include "keylime/policy_store/store.hpp"
 #include "telemetry/export.hpp"
 
 namespace cia {
@@ -54,14 +57,22 @@ TEST(PoolStressTest, ChaoticFleetWithConcurrentPolicyPushes) {
   constexpr std::size_t kRounds = 3;
   constexpr std::size_t kPushes = 5;
 
-  // A tenant keeps re-pushing the fleet policy while rounds are in
-  // flight: set_fleet_policy must be safe against the shard workers
-  // (mailbox mutex + COW index swap), which is exactly what TSan checks.
+  // A tenant keeps pushing revisions while rounds are in flight:
+  // push_revision must be safe against the shard workers (mailbox mutex
+  // + COW revision swap), which is exactly what TSan checks. Each push
+  // adds one line, so every push builds a new revision and swaps it in
+  // mid-round; a same-content push would reuse the head instead.
   std::atomic<bool> done{false};
   keylime::RuntimePolicy policy = fleet.fleet_policy();
   std::thread pusher([&] {
     for (std::size_t p = 0; p < kPushes; ++p) {
-      ASSERT_TRUE(fleet.pool().set_fleet_policy(policy).ok());
+      const std::string path = "/opt/pushed/tool-" + std::to_string(p);
+      policy.allow(path, crypto::sha256(path));
+      const std::string digest = keylime::policy_store::policy_digest(policy);
+      ASSERT_TRUE(fleet.pool()
+                      .push_revision(fleet.pool().agent_ids(), policy, digest,
+                                     nullptr)
+                      .ok());
       std::this_thread::yield();
     }
     done.store(true);
@@ -180,10 +191,9 @@ TEST(PoolStressTest, RevocationFanOutDrainsAtRoundBoundaries) {
   fleet.pool().set_fleet_faults(chaos);
 
   std::atomic<bool> done{false};
-  keylime::RuntimePolicy policy = fleet.fleet_policy();
   std::thread pusher([&] {
     for (std::size_t p = 0; p < 4; ++p) {
-      ASSERT_TRUE(fleet.pool().set_fleet_policy(policy).ok());
+      ASSERT_TRUE(fleet.push_fleet_policy().ok());
       std::this_thread::yield();
     }
     done.store(true);
@@ -264,7 +274,6 @@ TEST(PoolStressTest, ResizeDrainsInFlightRoundsBeforeTouchingTopology) {
   // One thread keeps driving rounds and pushing policies; another keeps
   // bouncing the shard count. Every resize must land on a quiesced pool.
   std::atomic<bool> done{false};
-  keylime::RuntimePolicy policy = fleet.fleet_policy();
   std::thread resizer([&] {
     for (std::size_t n : {7u, 3u, 8u, 2u}) {
       ASSERT_TRUE(fleet.pool().resize(n).ok());
@@ -275,7 +284,7 @@ TEST(PoolStressTest, ResizeDrainsInFlightRoundsBeforeTouchingTopology) {
   for (std::size_t round = 0; round < 3; ++round) {
     fleet.run_workload_round(round);
     fleet.pool().run_round();
-    ASSERT_TRUE(fleet.pool().set_fleet_policy(policy).ok());
+    ASSERT_TRUE(fleet.push_fleet_policy().ok());
   }
   resizer.join();
   ASSERT_TRUE(done.load());

@@ -235,7 +235,11 @@ TEST(PoolPolicyTest, CowSwapAppliesAtTheNextBatchBoundary) {
   }
   keylime::RuntimePolicy updated = fleet.fleet_policy();
   updated.allow("/usr/bin/rolled-out", crypto::sha256(std::string("elf:new")));
-  ASSERT_TRUE(fleet.pool().set_fleet_policy(updated).ok());
+  ASSERT_TRUE(fleet.pool()
+                  .push_revision(fleet.pool().agent_ids(), updated,
+                                 keylime::policy_store::policy_digest(updated),
+                                 nullptr)
+                  .ok());
   EXPECT_EQ(fleet.pool().policy_revision(), 2u);
 
   fleet.pool().run_round();
@@ -259,7 +263,11 @@ TEST(PoolPolicyTest, SingleAgentPolicyRoutesToOwningShard) {
   keylime::RuntimePolicy special = fleet.fleet_policy();
   special.allow("/usr/local/bin/dropper-0002",
                 crypto::sha256(std::string("elf:unknown:/usr/local/bin/dropper-0002")));
-  ASSERT_TRUE(fleet.pool().set_policy(fleet.agent_ids()[2], special).ok());
+  ASSERT_TRUE(fleet.pool()
+                  .push_revision({fleet.agent_ids()[2]}, special,
+                                 keylime::policy_store::policy_digest(special),
+                                 nullptr)
+                  .ok());
 
   fleet.pool().run_round();
   EXPECT_EQ(*fleet.pool().state(fleet.agent_ids()[2]),
@@ -328,6 +336,52 @@ TEST(PoolPolicyTest, SupersededRevisionDiesWithItsLastAgent) {
   pool.run_round();
   EXPECT_TRUE(old.expired())
       << "a revision must be freed with the last agent bound to it";
+}
+
+// A joiner is covered by a content-addressed push of the fleet policy,
+// which is the pool's head: it binds the fleet's revision object and
+// pays no index build.
+TEST(PoolPolicyTest, JoinBindsTheFleetRevisionWithoutABuild) {
+  telemetry::MetricsRegistry metrics;
+  PoolFleetOptions options;
+  options.agents = 6;
+  options.shards = 3;
+  options.seed = 47;
+  options.metrics = &metrics;
+  PoolFleet fleet(options);
+  ASSERT_TRUE(fleet.init_status().ok());
+  keylime::VerifierPool& pool = fleet.pool();
+  ASSERT_TRUE(fleet.push_fleet_policy().ok());
+  pool.run_round();
+  const std::string& first = fleet.agent_ids().front();
+  const auto fleet_revision = pool.verifier(pool.shard_for(first)).revision(first);
+  ASSERT_NE(fleet_revision->index, nullptr);
+
+  const std::uint64_t full0 = keylime::PolicyIndex::full_build_count();
+  const std::uint64_t incr0 = keylime::PolicyIndex::incremental_build_count();
+  std::vector<std::string> joined;
+  for (int j = 0; j < 3; ++j) {
+    auto id = fleet.join_agent();
+    ASSERT_TRUE(id.ok()) << id.error().message;
+    joined.push_back(id.value());
+  }
+  EXPECT_EQ(keylime::PolicyIndex::full_build_count() - full0, 0u);
+  EXPECT_EQ(keylime::PolicyIndex::incremental_build_count() - incr0, 0u);
+  EXPECT_EQ(pool.policy_revision(), 1u);
+
+  fleet.run_workload_round(0);
+  pool.run_round();
+  for (const std::string& id : joined) {
+    EXPECT_EQ(pool.verifier(pool.shard_for(id)).revision(id), fleet_revision)
+        << id;
+  }
+  EXPECT_TRUE(pool.alerts().empty());
+  EXPECT_EQ(metrics.counter_value("cia_policy_index_builds_total",
+                                  {{"mode", "full"}}),
+            1u);
+  EXPECT_EQ(metrics.counter_value("cia_policy_index_builds_total",
+                                  {{"mode", "reused"}}),
+            joined.size());
 }
 
 // ---------------------------------------------------------- determinism
