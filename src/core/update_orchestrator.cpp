@@ -21,6 +21,8 @@ std::vector<std::string> node_ids(const std::vector<ManagedNode>& nodes) {
 Status UpdateOrchestrator::push_policy() {
   namespace ps = keylime::policy_store;
   const std::string base = store_.head();
+  // The one digest this push streams: the stored copies carry it, so
+  // diff() and the sink's digest check answer from memos.
   const std::string digest = store_.put(policy_);
 
   // First push (or a cycle that changed nothing): full revision. A

@@ -498,12 +498,27 @@ std::string digest_hex(const Digest& d) {
   return out;
 }
 
+namespace {
+
+// The two lowercase hex digits of every byte value, so a digest renders
+// with one two-byte copy per byte: a policy digest renders 64 digits per
+// policy line.
+constexpr std::array<char, 512> kHexPairs = [] {
+  constexpr char kDigits[] = "0123456789abcdef";
+  std::array<char, 512> table{};
+  for (std::size_t b = 0; b < 256; ++b) {
+    table[2 * b] = kDigits[b >> 4];
+    table[2 * b + 1] = kDigits[b & 0x0f];
+  }
+  return table;
+}();
+
+}  // namespace
+
 void append_digest_hex(std::string& out, const Digest& d) {
-  static const char* kHex = "0123456789abcdef";
   char hex[2 * kSha256Size];
   for (std::size_t i = 0; i < kSha256Size; ++i) {
-    hex[2 * i] = kHex[d[i] >> 4];
-    hex[2 * i + 1] = kHex[d[i] & 0x0f];
+    std::memcpy(hex + 2 * i, &kHexPairs[2 * d[i]], 2);
   }
   out.append(hex, sizeof(hex));
 }

@@ -73,7 +73,6 @@ const keylime::RuntimePolicy& PoolFleet::fleet_policy() const {
     for (const auto& machine : machines_) {
       if (!machine) continue;
       cached_policy_ = scan_machine_policy(*machine, /*exclude_tmp=*/true);
-      cached_digest_ = keylime::policy_store::policy_digest(*cached_policy_);
       break;
     }
   }
@@ -86,11 +85,12 @@ Status PoolFleet::push_fleet_policy() {
 }
 
 Status PoolFleet::push_fleet_policy(const std::vector<std::string>& agent_ids) {
+  // The fleet policy is never mutated, so every push after the first is
+  // answered from its digest memo.
   const keylime::RuntimePolicy& policy = fleet_policy();
-  const std::string digest = cached_policy_
-                                 ? cached_digest_
-                                 : keylime::policy_store::policy_digest(policy);
-  return pool_->push_revision(agent_ids, policy, digest, nullptr);
+  return pool_->push_revision(agent_ids, policy,
+                              keylime::policy_store::policy_digest(policy),
+                              nullptr);
 }
 
 void PoolFleet::run_workload_round(std::uint64_t round) {

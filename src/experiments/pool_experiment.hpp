@@ -60,8 +60,8 @@ class PoolFleet {
   oskernel::Machine& machine(std::size_t i) { return *machines_.at(i); }
 
   /// The policy covering the shared fleet image (every synthetic binary,
-  /// /tmp excluded) — scanned once, with its content digest, from a live
-  /// machine.
+  /// /tmp excluded) — scanned once from a live machine. It is never
+  /// mutated, so its content digest is streamed once and memoised.
   const keylime::RuntimePolicy& fleet_policy() const;
 
   /// Push fleet_policy() to every enrolled agent by its content digest:
@@ -114,7 +114,6 @@ class PoolFleet {
   std::map<std::string, std::size_t> slot_;  // live agent id -> slot index
   std::size_t next_ordinal_ = 0;  // monotone: ids are never reused
   mutable std::optional<keylime::RuntimePolicy> cached_policy_;
-  mutable std::string cached_digest_;  // policy_digest(*cached_policy_)
   Status init_status_;
 };
 

@@ -290,6 +290,13 @@ Result<PolicyHead::Installed> PolicyHead::install(
   if (digest.empty()) {
     return err(Errc::kInvalidArgument, "a policy push needs a content digest");
   }
+  // Checked, not trusted: B pushed under the head's digest would reuse
+  // the head and leave every agent on it. A caller that has just hashed
+  // `policy` is answered from its digest memo.
+  if (digest != policy_store::policy_digest(policy)) {
+    return err(Errc::kInvalidArgument,
+               "a policy push's digest does not name its policy");
+  }
   if (revision_ != nullptr && digest == digest_) {
     // Same content as the head: the revision already paid for.
     return Installed{revision_, Build::kReused};

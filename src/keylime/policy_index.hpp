@@ -290,8 +290,9 @@ class PolicyHead {
   ///     alone: one policy copy plus an O(delta) overlay on the head's
   ///     index (PolicyIndex::build_incremental), §III-C's daily shape;
   ///   * otherwise one policy copy plus a full PolicyIndex::build.
-  /// A built revision takes the next tag and becomes the head. An empty
-  /// digest is refused (kInvalidArgument), the head untouched.
+  /// A built revision takes the next tag and becomes the head. A digest
+  /// that is empty or is not policy_digest(policy) is refused
+  /// (kInvalidArgument), the head, its tag and every binding untouched.
   Result<Installed> install(const RuntimePolicy& policy,
                             const std::string& digest,
                             const policy_store::PolicyDelta* delta);

@@ -110,7 +110,10 @@ Status RolloutController::begin(const RuntimePolicy& base,
     return err(Errc::kProtocolViolation, "a rollout is already baking");
 
   // Everything is staged in locals: a refused rollout leaves no state.
-  // diff() hashes both policies; the digests come from it.
+  // diff() takes both digests, streaming each policy at most once (one
+  // already hashed answers from its memo). From then on nothing streams:
+  // the canary push reads target's memo, and the copies below carry the
+  // memos into the reverse diff and a later rollback or promote.
   PolicyDelta forward = diff(base, target);
   if (forward.base_digest == forward.target_digest)
     return err(Errc::kInvalidArgument, "rollout target equals the base");

@@ -1,12 +1,16 @@
 #include "keylime/policy_store/store.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "crypto/sha256.hpp"
 
 namespace cia::keylime::policy_store {
 
 namespace {
+
+/// streamed_digest_count()'s source.
+std::atomic<std::uint64_t> g_streamed_digests{0};
 
 Status check_hashes(const std::vector<crypto::Digest>& hashes,
                     const std::string& path) {
@@ -28,11 +32,21 @@ Status check_hashes(const std::vector<crypto::Digest>& hashes,
 }  // namespace
 
 std::string policy_digest(const RuntimePolicy& policy) {
-  crypto::Sha256 ctx;
-  policy.write_canonical_json([&ctx](std::string_view chunk) {
-    ctx.update(chunk);
-  });
-  return crypto::digest_hex(ctx.finish());
+  crypto::Digest digest;
+  if (!policy.digest_memo_.load(digest)) {
+    crypto::Sha256 ctx;
+    policy.write_canonical_json([&ctx](std::string_view chunk) {
+      ctx.update(chunk);
+    });
+    digest = ctx.finish();
+    g_streamed_digests.fetch_add(1, std::memory_order_relaxed);
+    policy.digest_memo_.store(digest);
+  }
+  return crypto::digest_hex(digest);
+}
+
+std::uint64_t streamed_digest_count() {
+  return g_streamed_digests.load(std::memory_order_relaxed);
 }
 
 const char* delta_op_name(DeltaEntry::Op op) {

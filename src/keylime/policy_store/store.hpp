@@ -38,8 +38,16 @@ namespace cia::keylime::policy_store {
 /// The content address of a policy: lowercase-hex SHA-256 of the
 /// canonical JSON form (to_json().dump() — sorted paths, sorted keys).
 /// The bytes are streamed from RuntimePolicy::write_canonical_json into
-/// one SHA-256 context, so no JSON tree or full dump is ever built.
+/// one SHA-256 context, so no JSON tree or full dump is ever built. The
+/// policy memoises the 32-byte digest: the first call streams, later
+/// calls (on it or on a copy of it) answer from the memo until a mutator
+/// clears it, so diff() and apply() re-hash nothing the caller has
+/// already hashed. Safe to call from several threads on one const policy.
 std::string policy_digest(const RuntimePolicy& policy);
+
+/// Process-wide count of digests policy_digest actually streamed (memo
+/// misses): the pin that an update cycle hashes each revision once.
+std::uint64_t streamed_digest_count();
 
 /// One patched path. kAdd introduces a path absent from the base,
 /// kReplace swaps the acceptable-hash list of an existing path, kRemove

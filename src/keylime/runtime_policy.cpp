@@ -17,7 +17,33 @@ const char* policy_match_name(PolicyMatch m) {
   return "?";
 }
 
+bool RuntimePolicy::DigestMemo::load(crypto::Digest& out) const {
+  if (state_.load(std::memory_order_acquire) != kFull) return false;
+  out = digest_;
+  return true;
+}
+
+void RuntimePolicy::DigestMemo::store(const crypto::Digest& digest) {
+  std::uint8_t expected = kEmpty;
+  if (!state_.compare_exchange_strong(expected, kFilling,
+                                      std::memory_order_acquire)) {
+    return;  // another reader holds the slot
+  }
+  digest_ = digest;
+  state_.store(kFull, std::memory_order_release);
+}
+
+void RuntimePolicy::DigestMemo::copy_from(const DigestMemo& other) {
+  // A memo still being filled copies as empty.
+  if (other.load(digest_)) {
+    state_.store(kFull, std::memory_order_relaxed);
+  } else {
+    clear();
+  }
+}
+
 void RuntimePolicy::allow(const std::string& path, const crypto::Digest& hash) {
+  digest_memo_.clear();
   auto& hashes = allow_[path];
   if (std::find(hashes.begin(), hashes.end(), hash) != hashes.end()) {
     return;  // already acceptable; keep the policy line count honest
@@ -34,6 +60,7 @@ bool RuntimePolicy::allow(const std::string& path, const std::string& hash_hex) 
 }
 
 void RuntimePolicy::exclude(const std::string& glob) {
+  digest_memo_.clear();
   excludes_.push_back(glob);
 }
 
@@ -76,6 +103,7 @@ std::uint64_t RuntimePolicy::byte_size() const {
 }
 
 std::size_t RuntimePolicy::dedup() {
+  digest_memo_.clear();
   std::size_t removed = 0;
   for (auto& [path, hashes] : allow_) {
     if (hashes.size() > 1) {
@@ -88,6 +116,7 @@ std::size_t RuntimePolicy::dedup() {
 }
 
 std::size_t RuntimePolicy::remove_prefix(const std::string& prefix) {
+  digest_memo_.clear();
   std::size_t removed = 0;
   for (auto it = allow_.begin(); it != allow_.end();) {
     if (starts_with(it->first, prefix)) {
@@ -290,6 +319,7 @@ const std::vector<crypto::Digest>* RuntimePolicy::hashes_for(
 
 void RuntimePolicy::set_hashes(const std::string& path,
                                std::vector<crypto::Digest> hashes) {
+  digest_memo_.clear();
   if (hashes.empty()) {
     remove_path(path);
     return;
@@ -311,6 +341,7 @@ bool RuntimePolicy::set_hashes(const std::string& path,
 }
 
 std::size_t RuntimePolicy::remove_path(const std::string& path) {
+  digest_memo_.clear();
   auto it = allow_.find(path);
   if (it == allow_.end()) return 0;
   const std::size_t removed = it->second.size();
@@ -320,10 +351,12 @@ std::size_t RuntimePolicy::remove_path(const std::string& path) {
 }
 
 void RuntimePolicy::set_excludes(std::vector<std::string> globs) {
+  digest_memo_.clear();
   excludes_ = std::move(globs);
 }
 
 void RuntimePolicy::merge(const RuntimePolicy& other) {
+  digest_memo_.clear();
   for (const auto& glob : other.excludes_) {
     if (std::find(excludes_.begin(), excludes_.end(), glob) == excludes_.end()) {
       excludes_.push_back(glob);

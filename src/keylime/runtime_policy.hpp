@@ -19,6 +19,7 @@
 //     deduplication afterwards drops all but the newest.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -41,6 +42,12 @@ enum class PolicyMatch {
 };
 
 const char* policy_match_name(PolicyMatch m);
+
+class RuntimePolicy;
+
+namespace policy_store {
+std::string policy_digest(const RuntimePolicy& policy);  // store.hpp
+}  // namespace policy_store
 
 class RuntimePolicy {
  public:
@@ -101,7 +108,8 @@ class RuntimePolicy {
   /// without building the JSON tree: the bytes reach `sink` in order, in
   /// chunks of about kCanonicalChunkBytes from one reused buffer, so the
   /// writer allocates nothing in proportion to the policy. This is what
-  /// policy_store::policy_digest hashes.
+  /// policy_store::policy_digest hashes, once per revision: the digest is
+  /// memoised until the next mutation.
   void write_canonical_json(
       const std::function<void(std::string_view chunk)>& sink) const;
   static constexpr std::size_t kCanonicalChunkBytes = 64 * 1024;
@@ -141,11 +149,54 @@ class RuntimePolicy {
           fn) const;
 
  private:
+  friend std::string policy_store::policy_digest(const RuntimePolicy& policy);
+
+  // policy_store::policy_digest's memo: the SHA-256 of the canonical form,
+  // filled by the first digest and cleared by every mutator. A copy
+  // carries it; a moved-from policy loses it. Const readers may fill it
+  // concurrently: the one that moves the state word from kEmpty to
+  // kFilling stores its digest, and a reader that loses that race keeps
+  // the digest it streamed and stores nothing.
+  class DigestMemo {
+   public:
+    DigestMemo() = default;
+    DigestMemo(const DigestMemo& other) { copy_from(other); }
+    DigestMemo(DigestMemo&& other) noexcept {
+      copy_from(other);
+      other.clear();
+    }
+    DigestMemo& operator=(const DigestMemo& other) {
+      if (this != &other) copy_from(other);
+      return *this;
+    }
+    DigestMemo& operator=(DigestMemo&& other) noexcept {
+      if (this != &other) {
+        copy_from(other);
+        other.clear();
+      }
+      return *this;
+    }
+
+    /// True, with the digest in `out`, once the memo is filled.
+    bool load(crypto::Digest& out) const;
+    /// Fill an empty memo; a no-op when it is full or being filled.
+    void store(const crypto::Digest& digest);
+    void clear() { state_.store(kEmpty, std::memory_order_relaxed); }
+
+   private:
+    enum State : std::uint8_t { kEmpty, kFilling, kFull };
+    void copy_from(const DigestMemo& other);
+
+    std::atomic<std::uint8_t> state_{kEmpty};
+    crypto::Digest digest_{};
+  };
+
   // Insertion-ordered acceptable hashes per path. std::less<> lets a
   // string_view probe the map without building a std::string.
   std::map<std::string, std::vector<crypto::Digest>, std::less<>> allow_;
   std::vector<std::string> excludes_;
   std::size_t entry_count_ = 0;
+  mutable DigestMemo digest_memo_;
 };
 
 namespace policy_store {
@@ -161,8 +212,9 @@ class PolicySink {
  public:
   virtual ~PolicySink() = default;
 
-  /// Push one content-addressed revision to many agents. `digest` is
-  /// policy_store::policy_digest(policy); `delta` (may be null) rebases
+  /// Push one content-addressed revision to many agents. `digest` must be
+  /// policy_store::policy_digest(policy), or the push is refused
+  /// (kInvalidArgument); `delta` (may be null) rebases
   /// it from the previously pushed revision. Both sinks install through
   /// one PolicyHead (policy_index.hpp): a same-digest push reuses the
   /// installed revision, and a delta whose base digest matches it patches

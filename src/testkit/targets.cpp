@@ -98,6 +98,58 @@ FuzzOutcome run_runtime_policy(const Bytes& input) {
     return FuzzOutcome::violation(
         "streamed policy digest diverged from the canonical JSON");
   }
+  // The digest memo: a copy carries the digest just taken, and a mutation
+  // must drop it. One mutator, picked and fed by the input's own hash,
+  // then the DOM oracle again.
+  keylime::RuntimePolicy mutated = policy;
+  const crypto::Digest pick = crypto::sha256(input);
+  std::string listed = "/fuzz/" + crypto::digest_hex(pick).substr(0, 8);
+  std::size_t skip =
+      policy.path_count() > 0 ? pick[1] % policy.path_count() : 0;
+  policy.for_each_path(
+      [&](const std::string& path, const std::vector<crypto::Digest>&) {
+        if (skip-- == 0) listed = path;
+      });
+  switch (pick[0] % 9) {
+    case 0:
+      mutated.allow(listed, pick);
+      break;
+    case 1:
+      mutated.exclude(listed + "/*");
+      break;
+    case 2:
+      mutated.set_excludes(policy.excludes().empty()
+                               ? std::vector<std::string>{listed}
+                               : std::vector<std::string>{});
+      break;
+    case 3:
+      mutated.set_hashes(listed, {pick});
+      break;
+    case 4:
+      (void)mutated.remove_path(listed);
+      break;
+    case 5:
+      (void)mutated.remove_prefix(listed.substr(0, pick[2] % 4));
+      break;
+    case 6:
+      (void)mutated.dedup();
+      break;
+    case 7: {
+      keylime::RuntimePolicy other;
+      other.allow(listed + "/merged", pick);
+      other.exclude(listed);
+      mutated.merge(other);
+      break;
+    }
+    default:  // move-assigned from a policy never hashed
+      mutated = keylime::RuntimePolicy();
+      break;
+  }
+  if (keylime::policy_store::policy_digest(mutated) !=
+      crypto::digest_hex(crypto::sha256(mutated.to_json().dump()))) {
+    return FuzzOutcome::violation(
+        "policy digest survived a mutation of the policy");
+  }
   return FuzzOutcome::accepted();
 }
 

@@ -7,6 +7,7 @@
 #include "core/policy_generator.hpp"
 #include "core/update_orchestrator.hpp"
 #include "experiments/testbed.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace cia::core {
 namespace {
@@ -286,6 +287,42 @@ TEST_F(OrchestratorFixture, DedupRunsAfterUpgrade) {
   auto report = orchestrator->run_cycle();
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report.value().dedup_removed, 0u);
+}
+
+// Each push_policy streams one canonical digest, the one PolicyStore::put
+// takes of the new policy: the stored base, diff() and the sink's digest
+// check all answer from memos.
+TEST_F(OrchestratorFixture, EachPushStreamsOneDigest) {
+  namespace ps = keylime::policy_store;
+  telemetry::MetricsRegistry metrics;
+  orchestrator->use_telemetry(&metrics);
+  const auto pushes = [&] {
+    return metrics.counter_value("cia_policy_delta_pushes_total",
+                                 {{"mode", "full"}}) +
+           metrics.counter_value("cia_policy_delta_pushes_total",
+                                 {{"mode", "delta"}});
+  };
+  const std::uint64_t streams0 = ps::streamed_digest_count();
+  ASSERT_TRUE(orchestrator->bootstrap().ok());
+  EXPECT_EQ(pushes(), 1u);
+  EXPECT_EQ(ps::streamed_digest_count() - streams0, 1u);
+
+  bool touched = false;
+  for (int day = 0; day < 30 && !touched; ++day) {
+    const auto ev = bed.archive.release_day(day);
+    for (const auto& n : ev.updated) touched |= bed.apt.is_installed(n);
+  }
+  ASSERT_TRUE(touched);
+  auto report = orchestrator->run_cycle();
+  ASSERT_TRUE(report.ok());
+  ASSERT_GT(report.value().dedup_removed, 0u);
+  EXPECT_EQ(metrics.counter_value("cia_policy_delta_pushes_total",
+                                  {{"mode", "delta"}}),
+            2u)
+      << "the update and the post-upgrade dedup";
+  EXPECT_EQ(ps::streamed_digest_count() - streams0, pushes());
+  EXPECT_EQ(orchestrator->store().head(),
+            ps::policy_digest(orchestrator->policy()));
 }
 
 TEST_F(OrchestratorFixture, NewKernelInstallsAndArmsReboot) {

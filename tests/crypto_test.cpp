@@ -3,6 +3,7 @@
 // sign/verify, and certificate chains.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -136,6 +137,30 @@ TEST(Sha256Test, DigestFromHexInvertsDigestHexAndNothingElse) {
   EXPECT_FALSE(digest_from_hex(base.substr(1), decoded));
   EXPECT_FALSE(digest_from_hex(base + "0", decoded));
   EXPECT_FALSE(digest_from_hex("", decoded));
+}
+
+// Every byte value at the first, a middle and the last position renders
+// as its two lowercase hex digits, and append_digest_hex appends exactly
+// digest_hex's 64 characters.
+TEST(Sha256Test, DigestHexRendersEveryByteValue) {
+  const Digest base = sha256(std::string("render"));
+  for (int b = 0; b < 256; ++b) {
+    for (std::size_t pos : {std::size_t{0}, std::size_t{17}, std::size_t{31}}) {
+      Digest d = base;
+      d[pos] = static_cast<std::uint8_t>(b);
+      char expected[3];
+      std::snprintf(expected, sizeof(expected), "%02x", b);
+      const std::string hex = digest_hex(d);
+      ASSERT_EQ(hex.size(), 64u);
+      EXPECT_EQ(hex.substr(2 * pos, 2), expected) << b << "@" << pos;
+      Digest decoded{};
+      ASSERT_TRUE(digest_from_hex(hex, decoded));
+      EXPECT_EQ(decoded, d) << b << "@" << pos;
+      std::string appended = "prefix";
+      append_digest_hex(appended, d);
+      EXPECT_EQ(appended, "prefix" + hex);
+    }
+  }
 }
 
 TEST(Sha256Test, BatchMatchesOneShots) {

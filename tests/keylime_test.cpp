@@ -795,6 +795,58 @@ TEST_F(Rig, PushRevisionSharesTheHeadDecision) {
             PolicyMatch::kAllowed);
 }
 
+// The head checks the pushed digest instead of trusting it: policy B
+// pushed under the head's digest A would otherwise come back as A's
+// revision, reused, with the agent left on A.
+TEST_F(Rig, PushRevisionRefusesADigestThatDoesNotNameThePolicy) {
+  namespace ps = policy_store;
+  ASSERT_TRUE(agent.register_with(Registrar::address()).ok());
+  ASSERT_TRUE(verifier.add_agent("node0", agent.address()).ok());
+  RuntimePolicy a;
+  a.allow("/usr/bin/a", crypto::sha256(std::string("a")));
+  RuntimePolicy b = a;
+  b.allow("/usr/bin/b", crypto::sha256(std::string("b")));
+  const std::string da = ps::policy_digest(a);
+  const std::string db = ps::policy_digest(b);
+  ASSERT_TRUE(verifier.push_revision({"node0"}, a, da, nullptr).ok());
+  const auto head = verifier.revision("node0");
+  const std::uint64_t full0 = PolicyIndex::full_build_count();
+  const std::uint64_t incr0 = PolicyIndex::incremental_build_count();
+
+  const ps::PolicyDelta forward = ps::diff(a, b);
+  const std::string stranger =
+      crypto::digest_hex(crypto::sha256(std::string("stranger")));
+  struct Push {
+    const RuntimePolicy* policy;
+    std::string digest;
+    const ps::PolicyDelta* delta;
+  };
+  for (const Push& push : {Push{&b, da, nullptr}, Push{&b, da, &forward},
+                           Push{&b, stranger, nullptr},
+                           Push{&a, db, &forward}}) {
+    const Status s = verifier.push_revision({"node0"}, *push.policy,
+                                            push.digest, push.delta);
+    ASSERT_FALSE(s.ok()) << "a digest that does not name the policy";
+    EXPECT_EQ(s.error().code, Errc::kInvalidArgument);
+    EXPECT_EQ(verifier.revision("node0"), head);
+    EXPECT_EQ(verifier.policy_revision_of("node0"), 1u);
+  }
+  EXPECT_EQ(PolicyIndex::full_build_count() - full0, 0u);
+  EXPECT_EQ(PolicyIndex::incremental_build_count() - incr0, 0u);
+
+  // The head is untouched: A's digest still reuses it, and B under its
+  // own digest rebases from it.
+  ASSERT_TRUE(verifier.push_revision({"node0"}, a, da, nullptr).ok());
+  EXPECT_EQ(verifier.revision("node0"), head);
+  ASSERT_TRUE(verifier.push_revision({"node0"}, b, db, &forward).ok());
+  EXPECT_EQ(verifier.policy_revision_of("node0"), 2u);
+  EXPECT_EQ(PolicyIndex::incremental_build_count() - incr0, 1u);
+  EXPECT_EQ(PolicyIndex::full_build_count() - full0, 0u);
+  EXPECT_EQ(verifier.revision("node0")->index->check(
+                "/usr/bin/b", crypto::sha256(std::string("b"))),
+            PolicyMatch::kAllowed);
+}
+
 TEST_F(Rig, AttestAllCoversFleet) {
   enroll();
   oskernel::MachineConfig cfg2;

@@ -22,10 +22,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -465,6 +467,16 @@ TEST(PolicyDeltaEquivalence, FlattenTakesTheYoungestLayersClass) {
   EXPECT_EQ(known, fresh_known);
 }
 
+// policy_digest(p), which must have streamed the canonical bytes: a
+// digest answered from a memo would check nothing about the writer.
+std::string streamed_digest(const RuntimePolicy& p) {
+  const std::uint64_t before = ps::streamed_digest_count();
+  std::string digest = ps::policy_digest(p);
+  EXPECT_EQ(ps::streamed_digest_count(), before + 1)
+      << "policy_digest answered from a memo";
+  return digest;
+}
+
 // The digest really is content addressing over canonical JSON.
 TEST(PolicyDigestTest, ContentAddressed) {
   RuntimePolicy a;
@@ -473,11 +485,11 @@ TEST(PolicyDigestTest, ContentAddressed) {
   RuntimePolicy b;
   b.allow("/bin/x", hex_of("x"));
   b.exclude("/tmp/*");
-  EXPECT_EQ(ps::policy_digest(a), ps::policy_digest(b));
+  EXPECT_EQ(streamed_digest(a), streamed_digest(b));
   EXPECT_EQ(ps::policy_digest(a).size(), 64u);
 
   b.allow("/bin/y", hex_of("y"));
-  EXPECT_NE(ps::policy_digest(a), ps::policy_digest(b));
+  EXPECT_NE(ps::policy_digest(a), streamed_digest(b));
 }
 
 // policy_digest streams the canonical bytes into SHA-256 without building
@@ -514,7 +526,7 @@ void expect_streamed_equals_dom(const RuntimePolicy& p,
     ADD_FAILURE() << what << ": streamed bytes diverge from dump() at offset "
                   << at << " of " << dom.size();
   }
-  EXPECT_EQ(ps::policy_digest(p), dom_digest(p)) << what;
+  EXPECT_EQ(streamed_digest(p), dom_digest(p)) << what;
 }
 
 TEST(PolicyDigestTest, StreamedDigestMatchesCanonicalJsonEdgeCases) {
@@ -586,7 +598,7 @@ TEST(PolicyDigestTest, StreamedDigestAcrossWriteBufferBoundaries) {
     const Streamed streamed = stream_canonical(p);
     EXPECT_GE(streamed.chunks, 3u) << "shift " << shift;
     EXPECT_TRUE(streamed.bytes == dom) << "shift " << shift;
-    EXPECT_EQ(ps::policy_digest(p), dom_digest(p)) << "shift " << shift;
+    EXPECT_EQ(streamed_digest(p), dom_digest(p)) << "shift " << shift;
   }
 }
 
@@ -614,8 +626,326 @@ TEST(PolicyDigestTest, PinnedDigestOfAFixedPolicy) {
   ASSERT_TRUE(p.set_hashes("/tmp/tab\there", {std::string(64, 'f')}));
   p.exclude("/tmp/*");
   p.exclude("*.pyc");
-  EXPECT_EQ(ps::policy_digest(p),
+  EXPECT_EQ(streamed_digest(p),
             "c8d89ae36917cc68a327b012ac1f92040e7bd39013f2cb57b5a1ea6174983fe1");
+}
+
+// ---------------------------------------------------------- digest memo
+
+// A policy memoises its digest until a mutator runs. Every step fills the
+// memo, then changes the content through one mutator, copy or move, and
+// holds each digest to the DOM oracle: a mutator that kept the memo would
+// answer with the digest of the content it replaced. A copy must carry
+// the memo (no stream), and a moved-from policy must lose it, reused or
+// not.
+TEST(PolicyDigestMemoTest, EveryMutatorCopyAndMoveKeepsTheDigestTrue) {
+  enum Op {
+    kAllow, kAllowHex, kExclude, kSetExcludes, kSetHashes, kSetHashesHex,
+    kRemovePath, kRemovePrefix, kDedup, kMerge, kMergeExcludes, kCopy,
+    kCopyAssign, kMove, kMoveAssign, kOpCount
+  };
+  const char* const kNames[kOpCount] = {
+      "allow", "allow(hex)", "exclude", "set_excludes", "set_hashes",
+      "set_hashes(hex)", "remove_path", "remove_prefix", "dedup", "merge",
+      "merge(excludes)", "copy", "copy-assign", "move", "move-assign"};
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed * 104729 + 17);
+    RuntimePolicy p = testkit::gen_policy(rng, 24);
+    std::size_t fresh = 0;
+    // Paths no generated policy holds, none a prefix of another.
+    const auto fresh_path = [&] {
+      return strformat("/memo/%llu/%zu/f",
+                       static_cast<unsigned long long>(seed), fresh++);
+    };
+    std::vector<int> order(kOpCount);
+    for (int i = 0; i < kOpCount; ++i) order[i] = i;
+    for (int round = 0; round < 3; ++round) {
+      for (int i = kOpCount - 1; i > 0; --i) {  // a new predecessor per op
+        const auto j = rng.uniform(static_cast<std::uint64_t>(i) + 1);
+        std::swap(order[i], order[j]);
+      }
+      for (const int op : order) {
+        const std::string what =
+            strformat("seed %llu round %d %s",
+                      static_cast<unsigned long long>(seed), round, kNames[op]);
+        const auto expect_true = [&](const RuntimePolicy& q,
+                                     const char* which) {
+          EXPECT_EQ(ps::policy_digest(q), dom_digest(q))
+              << what << ": " << which;
+        };
+        // A path with two hashes, so dedup, remove_path, remove_prefix and
+        // set_hashes each change the content; then fill the memo.
+        const std::string two = fresh_path();
+        p.allow(two, crypto::sha256(two + "#1"));
+        p.allow(two, crypto::sha256(two + "#2"));
+        expect_true(p, "before");
+        switch (op) {
+          case kAllow:
+            p.allow(fresh_path(), crypto::sha256(what));
+            break;
+          case kAllowHex:
+            ASSERT_TRUE(p.allow(fresh_path(), hex_of(what)));
+            break;
+          case kExclude:
+            p.exclude("/memo-exclude/" + what + "/*");
+            break;
+          case kSetExcludes: {
+            std::vector<std::string> globs = p.excludes();
+            globs.insert(globs.begin(), "/memo-set/" + what + "/*");
+            p.set_excludes(std::move(globs));
+            break;
+          }
+          case kSetHashes:
+            p.set_hashes(two, {crypto::sha256(what)});
+            break;
+          case kSetHashesHex:
+            ASSERT_TRUE(
+                p.set_hashes(two, std::vector<std::string>{hex_of(what)}));
+            break;
+          case kRemovePath:
+            EXPECT_EQ(p.remove_path(two), 2u) << what;
+            break;
+          case kRemovePrefix:
+            EXPECT_EQ(p.remove_prefix(two), 2u) << what;
+            break;
+          case kDedup:
+            EXPECT_GE(p.dedup(), 1u) << what;
+            break;
+          case kMerge: {
+            RuntimePolicy other;
+            other.allow(fresh_path(), crypto::sha256(what));
+            p.merge(other);
+            break;
+          }
+          case kMergeExcludes: {  // merge() adds no path through allow()
+            RuntimePolicy other;
+            other.exclude("/memo-merge/" + what + "/*");
+            p.merge(other);
+            break;
+          }
+          case kCopy: {
+            const std::uint64_t before = ps::streamed_digest_count();
+            RuntimePolicy copy(p);
+            expect_true(copy, "copy");
+            EXPECT_EQ(ps::streamed_digest_count(), before)
+                << what << ": a copy carries the memo";
+            copy.allow(fresh_path(), crypto::sha256(what));
+            expect_true(copy, "edited copy");
+            expect_true(p, "original");
+            p.exclude("/memo-copy/" + what + "/*");
+            expect_true(RuntimePolicy(p), "copy of an unhashed policy");
+            break;
+          }
+          case kCopyAssign: {
+            RuntimePolicy dst;
+            dst.allow("/memo/dst", crypto::sha256(what));
+            expect_true(dst, "destination");
+            const std::uint64_t before = ps::streamed_digest_count();
+            dst = p;
+            expect_true(dst, "assigned");
+            EXPECT_EQ(ps::streamed_digest_count(), before)
+                << what << ": a copy carries the memo";
+            // From an unhashed policy the destination's memo must go.
+            p.exclude("/memo-assign/" + what + "/*");
+            dst = p;
+            expect_true(dst, "assigned from an unhashed policy");
+            break;
+          }
+          case kMove: {
+            const std::uint64_t before = ps::streamed_digest_count();
+            RuntimePolicy moved(std::move(p));
+            expect_true(moved, "moved-to");
+            EXPECT_EQ(ps::streamed_digest_count(), before)
+                << what << ": a move carries the memo";
+            expect_true(p, "moved-from");
+            p.allow(fresh_path(), crypto::sha256(what));  // reuse it
+            expect_true(p, "reused moved-from");
+            p = std::move(moved);
+            break;
+          }
+          case kMoveAssign: {
+            RuntimePolicy dst;
+            dst.allow("/memo/dst", crypto::sha256(what));
+            expect_true(dst, "destination");
+            dst = std::move(p);
+            expect_true(dst, "move-assigned");
+            expect_true(p, "moved-from");
+            p.set_hashes(fresh_path(), {crypto::sha256(what)});  // reuse it
+            p.exclude("/memo-move/" + what + "/*");
+            expect_true(p, "reused moved-from");
+            RuntimePolicy unhashed = p;
+            unhashed.exclude("/memo-unhashed/" + what + "/*");
+            dst = std::move(unhashed);  // the destination's memo must go
+            expect_true(dst, "move-assigned from an unhashed policy");
+            p = std::move(dst);
+            break;
+          }
+        }
+        expect_true(p, "after");
+      }
+    }
+  }
+}
+
+// Four threads take the first digest of one const policy at once: they
+// all read the DOM's digest, the memo holds it afterwards, and at most
+// one stream per thread is paid. Run under TSan by
+// tools/run_sanitized_tests.sh thread.
+TEST(PolicyDigestMemoTest, ConcurrentFirstDigestsAgree) {
+  constexpr int kThreads = 4;
+  for (std::uint64_t trial = 0; trial < 4; ++trial) {
+    Rng rng(trial * 7919 + 5);
+    const RuntimePolicy policy = testkit::gen_policy(rng, 400);
+    const std::string oracle = dom_digest(policy);
+    const std::uint64_t before = ps::streamed_digest_count();
+    std::vector<std::string> got(kThreads);
+    std::atomic<int> waiting{kThreads};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        waiting.fetch_sub(1);
+        while (waiting.load() > 0) {
+        }
+        got[t] = ps::policy_digest(policy);
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    const std::uint64_t streams = ps::streamed_digest_count() - before;
+    EXPECT_GE(streams, 1u);
+    EXPECT_LE(streams, static_cast<std::uint64_t>(kThreads));
+    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], oracle) << t;
+    EXPECT_EQ(ps::policy_digest(policy), oracle);
+    EXPECT_EQ(ps::streamed_digest_count() - before, streams)
+        << "the memo holds the digest once the race is over";
+  }
+}
+
+// A fleetbench-shaped update cycle: the digest of the edited target,
+// diff(), apply(), the delta push and a same-digest re-bind push. The
+// base was hashed when it was installed, so the cycle streams only the
+// target and apply()'s patched result.
+TEST(PolicyDigestMemoTest, UpdateCycleStreamsTwoDigests) {
+  PoolFleetOptions options;
+  options.agents = 4;
+  options.shards = 2;
+  options.seed = 61;
+  PoolFleet fleet(options);
+  ASSERT_TRUE(fleet.init_status().ok());
+  keylime::VerifierPool& pool = fleet.pool();
+  RuntimePolicy base = fleet.fleet_policy();
+  for (std::size_t i = 0; i < 300; ++i) {
+    base.allow(strformat("/usr/lib/pkg-%03zu/lib.so", i),
+               crypto::sha256(strformat("lib-%zu", i)));
+  }
+  std::string base_digest = ps::policy_digest(base);
+  ASSERT_TRUE(
+      pool.push_revision(fleet.agent_ids(), base, base_digest, nullptr).ok());
+  const std::uint64_t incr0 = PolicyIndex::incremental_build_count();
+  for (std::size_t cycle = 0; cycle < 3; ++cycle) {
+    RuntimePolicy target = base;
+    target.set_hashes(strformat("/usr/lib/pkg-%03zu/lib.so", cycle),
+                      {crypto::sha256(strformat("lib-%zu-up", cycle))});
+    target.allow(strformat("/srv/daily/c%zu", cycle),
+                 crypto::sha256(strformat("daily-%zu", cycle)));
+    if (cycle > 0) target.remove_path(strformat("/srv/daily/c%zu", cycle - 1));
+
+    const std::uint64_t before = ps::streamed_digest_count();
+    const std::string target_digest = ps::policy_digest(target);
+    const ps::PolicyDelta delta = ps::diff(base, target);
+    auto applied = ps::apply(base, delta);
+    ASSERT_TRUE(applied.ok()) << applied.error().message;
+    ASSERT_TRUE(pool.push_revision(fleet.agent_ids(), applied.value(),
+                                   target_digest, &delta)
+                    .ok());
+    ASSERT_TRUE(pool.push_revision(fleet.agent_ids(), applied.value(),
+                                   target_digest, nullptr)
+                    .ok());
+    EXPECT_EQ(ps::streamed_digest_count() - before, 2u) << "cycle " << cycle;
+    EXPECT_EQ(delta.base_digest, base_digest);
+    EXPECT_EQ(delta.target_digest, target_digest);
+    EXPECT_EQ(target_digest, dom_digest(applied.value()));
+
+    base = std::move(applied).take();
+    base_digest = target_digest;
+    fleet.run_workload_round(cycle);
+    pool.run_round();
+  }
+  EXPECT_EQ(PolicyIndex::incremental_build_count() - incr0, 3u);
+  for (const std::string& id : fleet.agent_ids()) {
+    EXPECT_EQ(pool.policy_revision_of(id), 4u) << id;
+  }
+  EXPECT_TRUE(pool.alerts().empty());
+}
+
+// A staged rollout streams each end of its delta at most once, in
+// begin(); the rollback and the promote push policies begin() already
+// hashed, so they stream nothing.
+TEST(PolicyDigestMemoTest, RolloutStreamsOnlyInBegin) {
+  ps::RolloutConfig config;
+  config.canary_fraction = 0.5;
+  config.bake_rounds = 1;
+  PoolFleetOptions options;
+  options.agents = 6;
+  options.shards = 2;
+  options.seed = 67;
+
+  {  // Rollback: the target corrupts every path, so the canary alerts.
+    PoolFleet fleet(options);
+    ASSERT_TRUE(fleet.init_status().ok());
+    keylime::VerifierPool& pool = fleet.pool();
+    ASSERT_TRUE(fleet.push_fleet_policy().ok());
+    const RuntimePolicy& good = fleet.fleet_policy();
+    RuntimePolicy bad = good;
+    good.for_each_path([&](const std::string& path,
+                           const std::vector<crypto::Digest>&) {
+      bad.set_hashes(path, {crypto::sha256("corrupt:" + path)});
+    });
+    ps::RolloutController rollout(&pool, config);
+    pool.use_rollout(&rollout);
+    std::uint64_t before = ps::streamed_digest_count();
+    ASSERT_TRUE(rollout.begin(good, bad).ok());
+    EXPECT_EQ(ps::streamed_digest_count() - before, 1u)
+        << "the installed base answers from its memo";
+    before = ps::streamed_digest_count();
+    for (std::uint64_t round = 0;
+         round < 4 && rollout.state() == ps::RolloutState::kBaking; ++round) {
+      fleet.run_workload_round(round);
+      pool.run_round();
+    }
+    ASSERT_EQ(rollout.state(), ps::RolloutState::kRolledBack);
+    EXPECT_EQ(ps::streamed_digest_count() - before, 0u);
+    pool.use_rollout(nullptr);
+  }
+
+  {  // Promote: two policies nobody has hashed yet, and a clean bake.
+    PoolFleet fleet(options);
+    ASSERT_TRUE(fleet.init_status().ok());
+    keylime::VerifierPool& pool = fleet.pool();
+    ASSERT_TRUE(fleet.push_fleet_policy().ok());
+    auto base = RuntimePolicy::from_json(fleet.fleet_policy().to_json());
+    ASSERT_TRUE(base.ok());
+    RuntimePolicy target = base.value();
+    target.allow("/usr/local/bin/extra-tool",
+                 crypto::sha256(std::string("extra")));
+    ps::RolloutController rollout(&pool, config);
+    pool.use_rollout(&rollout);
+    std::uint64_t before = ps::streamed_digest_count();
+    ASSERT_TRUE(rollout.begin(base.value(), target).ok());
+    EXPECT_EQ(ps::streamed_digest_count() - before, 2u);
+    before = ps::streamed_digest_count();
+    for (std::uint64_t round = 0;
+         round < 4 && rollout.state() == ps::RolloutState::kBaking; ++round) {
+      fleet.run_workload_round(round);
+      pool.run_round();
+    }
+    ASSERT_EQ(rollout.state(), ps::RolloutState::kPromoted);
+    pool.run_round();  // the rest of the fleet binds at its next batch
+    EXPECT_EQ(ps::streamed_digest_count() - before, 0u);
+    for (const std::string& id : fleet.agent_ids()) {
+      EXPECT_EQ(pool.policy_revision_of(id), rollout.target_revision()) << id;
+    }
+    pool.use_rollout(nullptr);
+  }
 }
 
 // ------------------------------------------------ strict-decode rejections

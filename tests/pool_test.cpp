@@ -384,6 +384,78 @@ TEST(PoolPolicyTest, JoinBindsTheFleetRevisionWithoutABuild) {
             joined.size());
 }
 
+// The pool's head checks a pushed digest against the policy: an updated
+// policy pushed under the head's digest would otherwise be "reused" as
+// the head revision, and every agent would stay on the old policy while
+// the caller believed the update installed.
+TEST(PoolPolicyTest, PushRefusesADigestThatDoesNotNameThePolicy) {
+  namespace ps = keylime::policy_store;
+  telemetry::MetricsRegistry metrics;
+  PoolFleetOptions options;
+  options.agents = 6;
+  options.shards = 3;
+  options.seed = 53;
+  options.metrics = &metrics;
+  PoolFleet fleet(options);
+  ASSERT_TRUE(fleet.init_status().ok());
+  keylime::VerifierPool& pool = fleet.pool();
+  const keylime::RuntimePolicy& base = fleet.fleet_policy();
+  const std::string base_digest = ps::policy_digest(base);
+  ASSERT_TRUE(pool.push_revision(fleet.agent_ids(), base, base_digest, nullptr)
+                  .ok());
+  pool.run_round();
+  const std::string& first = fleet.agent_ids().front();
+  const auto head = pool.verifier(pool.shard_for(first)).revision(first);
+
+  keylime::RuntimePolicy updated = base;
+  updated.allow("/usr/bin/updated", crypto::sha256(std::string("elf:new")));
+  const std::string updated_digest = ps::policy_digest(updated);
+  const ps::PolicyDelta forward = ps::diff(base, updated);
+  const std::uint64_t full0 = keylime::PolicyIndex::full_build_count();
+  const std::uint64_t incr0 = keylime::PolicyIndex::incremental_build_count();
+  struct Push {
+    const keylime::RuntimePolicy* policy;
+    std::string digest;
+    const ps::PolicyDelta* delta;
+  };
+  for (const Push& push :
+       {Push{&updated, base_digest, nullptr},
+        Push{&updated, base_digest, &forward},
+        Push{&updated, crypto::digest_hex(crypto::sha256(std::string("x"))),
+             nullptr},
+        Push{&base, updated_digest, &forward}}) {
+    const Status s = pool.push_revision(fleet.agent_ids(), *push.policy,
+                                        push.digest, push.delta);
+    ASSERT_FALSE(s.ok()) << "a digest that does not name the policy";
+    EXPECT_EQ(s.error().code, Errc::kInvalidArgument);
+  }
+  pool.run_round();
+  EXPECT_EQ(keylime::PolicyIndex::full_build_count() - full0, 0u);
+  EXPECT_EQ(keylime::PolicyIndex::incremental_build_count() - incr0, 0u);
+  EXPECT_EQ(pool.policy_revision(), 1u);
+  for (const std::string& id : fleet.agent_ids()) {
+    EXPECT_EQ(pool.verifier(pool.shard_for(id)).revision(id), head) << id;
+  }
+  EXPECT_EQ(metrics.counter_value("cia_policy_index_builds_total",
+                                  {{"mode", "reused"}}),
+            0u);
+
+  // The head is still the base: its digest reuses it, and the update
+  // under its own digest rebases from it.
+  ASSERT_TRUE(pool.push_revision(fleet.agent_ids(), base, base_digest, nullptr)
+                  .ok());
+  EXPECT_EQ(pool.policy_revision(), 1u);
+  ASSERT_TRUE(
+      pool.push_revision(fleet.agent_ids(), updated, updated_digest, &forward)
+          .ok());
+  EXPECT_EQ(keylime::PolicyIndex::incremental_build_count() - incr0, 1u);
+  EXPECT_EQ(keylime::PolicyIndex::full_build_count() - full0, 0u);
+  pool.run_round();
+  for (const std::string& id : fleet.agent_ids()) {
+    EXPECT_EQ(pool.policy_revision_of(id), 2u) << id;
+  }
+}
+
 // ---------------------------------------------------------- determinism
 
 struct RunArtifacts {

@@ -10,7 +10,9 @@
 # suites, which drive one worker thread per shard while another thread
 # pushes policy revisions into the COW mailboxes), the PolicyIndex
 # tests, the first use of the EC comb table from four threads (in a
-# process of its own, so the table is cold when they start), and two
+# process of its own, so the table is cold when they start), the
+# RuntimePolicy digest memo (four threads take one policy's first
+# digest), and two
 # sharded scenario files through cia_scenario — the alert storm and the
 # churn campaign with mid-run resizes (live agent migration), so a pool
 # race shows up attributed to the campaign that hit it. `fuzz`
@@ -54,6 +56,8 @@ for san in "${sanitizers[@]}"; do
       echo "==> [$san] verifier pool (shard workers + COW policy swaps)"
       "$build_dir/tests/cia_tests" \
         --gtest_filter='PoolStressTest.*:PoolDeterminismTest.*:PoolFleetTest.*:PoolPolicyTest.*:PoolRingTest.*:PoolReshardTest.*:PolicyIndexTest.*'
+      echo "==> [$san] policy digest memo, first digest from four threads"
+      "$build_dir/tests/cia_tests" --gtest_filter='PolicyDigestMemoTest.*'
       echo "==> [$san] sharded scenarios (alert storm, churn with resizes)"
       "$build_dir/tools/cia_scenario" run "$repo_root/scenarios/alert-storm.json"
       "$build_dir/tools/cia_scenario" run \
